@@ -22,7 +22,7 @@ from .core import (
     eval_formula,
     greatest_fixpoint,
     kleene_lfp,
-    masked_kleene,
+    masked_iterates,
     step,
     substitute_var,
     support,
@@ -32,14 +32,12 @@ from .dag import (
     Apply,
     BOTTOM,
     TOP,
-    ClosedFormReport,
     DagStats,
     TermDag,
     build_expanded,
     build_pruned,
     dag_stats,
     eval_dag,
-    verify_closed_forms,
     with_top_leaves,
 )
 from .emit import (
@@ -62,7 +60,6 @@ __all__ = [
     "Apply",
     "BOTTOM",
     "BesParseError",
-    "ClosedFormReport",
     "CnfFormula",
     "Const",
     "DagStats",
@@ -91,7 +88,7 @@ __all__ = [
     "gen_random_monotone",
     "greatest_fixpoint",
     "kleene_lfp",
-    "masked_kleene",
+    "masked_iterates",
     "parse_dimacs",
     "parse_system",
     "step",
@@ -102,7 +99,6 @@ __all__ = [
     "to_let_text",
     "to_sexpr",
     "tuple_le",
-    "verify_closed_forms",
     "with_top_leaves",
     "write_dimacs",
 ]

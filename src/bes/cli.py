@@ -316,6 +316,12 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
+    except RecursionError:
+        print("error: input nested too deeply (recursion limit reached)", file=sys.stderr)
+        return EXIT_SEMANTIC
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_SEMANTIC
 
 
 if __name__ == "__main__":

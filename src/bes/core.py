@@ -64,13 +64,6 @@ class NonMonotoneError(RuntimeError):
     """Fixpoint iteration failed to converge within the lattice height."""
 
 
-def formula_depth(f: Formula) -> int:
-    """Height of the formula tree; a leaf has depth 1."""
-    if isinstance(f, (And, Or)):
-        return 1 + max(formula_depth(f.left), formula_depth(f.right))
-    return 1
-
-
 def support(f: Formula) -> IndexSet:
     """The set of state variables occurring syntactically in f."""
     out: set[int] = set()
@@ -78,20 +71,6 @@ def support(f: Formula) -> IndexSet:
     while stack:
         node = stack.pop()
         if isinstance(node, Var):
-            out.add(node.index)
-        elif isinstance(node, (And, Or)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return frozenset(out)
-
-
-def params_of(f: Formula) -> frozenset[int]:
-    """The set of parameters occurring syntactically in f."""
-    out: set[int] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Param):
             out.add(node.index)
         elif isinstance(node, (And, Or)):
             stack.append(node.left)
@@ -125,12 +104,18 @@ class System:
                 raise ValueError(f"invalid identifier: {name!r}")
         num_params = len(self.param_names)
         for i, f in enumerate(self.formulas):
-            for v in support(f):
-                if not 0 <= v < n:
-                    raise ValueError(f"equation {i} uses variable index {v} out of range")
-            for k in params_of(f):
-                if not 0 <= k < num_params:
-                    raise ValueError(f"equation {i} uses parameter index {k} out of range")
+            stack = [f]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (And, Or)):
+                    stack.append(node.left)
+                    stack.append(node.right)
+                elif isinstance(node, Var) and not 0 <= node.index < n:
+                    raise ValueError(f"equation {i} uses variable index {node.index} out of range")
+                elif isinstance(node, Param) and not 0 <= node.index < num_params:
+                    raise ValueError(f"equation {i} uses parameter index {node.index} out of range")
+                elif isinstance(node, Const) and node.value not in (0, 1):
+                    raise ValueError(f"equation {i} uses constant {node.value!r}, not 0 or 1")
 
     @property
     def n(self) -> int:
@@ -197,14 +182,14 @@ def kleene_lfp(
     raise NonMonotoneError("iteration exceeded the lattice height; system is not monotone")
 
 
-def masked_kleene(
+def masked_iterates(
     system: System,
     masked: IndexSet,
     m: int,
     p: ParamAssignment = (),
     ones: int = 1,
-) -> Valuation:
-    """m-fold iteration where equations in ``masked`` are pinned to 0.
+) -> list[Valuation]:
+    """Iterates x^0 .. x^m where equations in ``masked`` are pinned to 0.
 
     Runs the system whose i-th component is the constant 0 when i is in
     ``masked`` and f_i otherwise, starting from all zeros.
@@ -213,12 +198,14 @@ def masked_kleene(
         raise ValueError("iteration count must be nonnegative")
     n = system.n
     x: Valuation = (0,) * n
+    out = [x]
     for _ in range(m):
         x = tuple(
             0 if i in masked else eval_formula(system.formulas[i], x, p, ones)
             for i in range(n)
         )
-    return x
+        out.append(x)
+    return out
 
 
 def dualize_formula(f: Formula) -> Formula:
@@ -268,27 +255,6 @@ def substitute_var(f: Formula, index: int, replacement: Formula) -> Formula:
             substitute_var(f.right, index, replacement),
         )
     return f
-
-
-def is_semantically_monotone(system: System, max_n: int = 4) -> bool:
-    """Brute-force monotonicity check for debugging; n and P must be small."""
-    n, np = system.n, system.num_params
-    if n > max_n or np > 6:
-        raise ValueError("semantic monotonicity check is exhaustive; instance too large")
-    vals = [tuple((j >> i) & 1 for i in range(n)) for j in range(1 << n)]
-    passignments = [tuple((j >> k) & 1 for k in range(np)) for j in range(1 << np)]
-    for p in passignments:
-        images = {x: step(system, x, p) for x in vals}
-        for x in vals:
-            for y in vals:
-                if tuple_le(x, y) and not tuple_le(images[x], images[y]):
-                    return False
-    return True
-
-
-def all_param_assignments(num_params: int) -> list[ParamAssignment]:
-    """Every parameter assignment, in lexicographic order of the packed index."""
-    return [tuple((j >> k) & 1 for k in range(num_params)) for j in range(1 << num_params)]
 
 
 def param_masks(num_params: int) -> tuple[ParamAssignment, int]:

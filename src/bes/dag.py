@@ -26,7 +26,6 @@ from .core import (
     System,
     Valuation,
     eval_formula,
-    kleene_lfp,
 )
 
 BOTTOM = 0
@@ -287,45 +286,4 @@ def dag_stats(dag: TermDag) -> DagStats:
         edge_count=edge_count,
         dag_depth=max((depth[r] for r in dag.roots), default=0),
         tree_size=sum(size[r] for r in dag.roots),
-    )
-
-
-@dataclass(frozen=True)
-class ClosedFormReport:
-    """Outcome of cross-checking both closed forms against plain iteration."""
-
-    ok: bool
-    by_iteration: Valuation
-    depth: int
-    pruned_value: Valuation
-    expanded_value: Valuation
-    mismatch_at: int | None = None
-
-    def describe(self) -> str:
-        if self.ok:
-            return "all three values agree"
-        return (
-            f"mismatch at coordinate {self.mismatch_at}: "
-            f"iteration={self.by_iteration} pruned={self.pruned_value} "
-            f"expanded={self.expanded_value}"
-        )
-
-
-def verify_closed_forms(system: System, p: ParamAssignment = ()) -> ClosedFormReport:
-    """Build both closed forms, evaluate them, and compare with iteration."""
-    by_iteration, depth = kleene_lfp(system, p)
-    pruned_value = eval_dag(build_pruned(system), system, p)
-    expanded_value = eval_dag(build_expanded(system), system, p)
-    mismatch = None
-    for i in range(system.n):
-        if not by_iteration[i] == pruned_value[i] == expanded_value[i]:
-            mismatch = i
-            break
-    return ClosedFormReport(
-        ok=mismatch is None,
-        by_iteration=by_iteration,
-        depth=depth,
-        pruned_value=pruned_value,
-        expanded_value=expanded_value,
-        mismatch_at=mismatch,
     )

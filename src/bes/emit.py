@@ -233,7 +233,7 @@ def write_dimacs(cnf: CnfFormula) -> str:
     lines = [f"c map {v} {note}" for v, note in sorted(cnf.node_map.items())]
     lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
     for clause in cnf.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+        lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 

@@ -38,6 +38,7 @@ from .core import (
     decode_param_slice,
     eval_formula,
     kleene_lfp,
+    masked_iterates,
     param_masks,
     substitute_var,
 )
@@ -89,21 +90,6 @@ def _subsets(system: System, subsets: Iterable[IndexSet] | None) -> list[IndexSe
     if system.n > 14:
         raise ValueError("exhaustive subset sweep is too large; pass a subset sample")
     return _all_subsets(system.n)
-
-
-def _iterates(
-    system: System, masked: IndexSet, pbits: Sequence[int], ones: int, upto: int
-) -> list[Valuation]:
-    """Masked iterates x^0 .. x^upto starting from all zeros."""
-    out = [(0,) * system.n]
-    x = out[0]
-    for _ in range(upto):
-        x = tuple(
-            0 if i in masked else eval_formula(system.formulas[i], x, pbits, ones)
-            for i in range(system.n)
-        )
-        out.append(x)
-    return out
 
 
 def _pruned_term_values(
@@ -183,7 +169,7 @@ def check_prune_le_iterate(
     n = system.n
     subs = [s for s in _subsets(system, subsets) if len(s) < n]
     values = _pruned_term_values(system, pbits, ones, subs)
-    plain = _iterates(system, frozenset(), pbits, ones, n)
+    plain = masked_iterates(system, frozenset(), n, pbits, ones)
     for masked in subs:
         m = n - len(masked) - 1
         for i in range(n):
@@ -208,7 +194,7 @@ def check_zero_prefix(
     """If an equation is 0 at iterate m, it is 0 at every iterate up to m."""
     pbits, ones = _param_bits(system, params)
     n = system.n
-    plain = _iterates(system, frozenset(), pbits, ones, n)
+    plain = masked_iterates(system, frozenset(), n, pbits, ones)
     applied = [
         [eval_formula(f, plain[m], pbits, ones) for m in range(n + 1)]
         for f in system.formulas
@@ -246,22 +232,26 @@ def check_masking_preserves_iterates(
     def iters(masked: IndexSet) -> list[Valuation]:
         got = iterates.get(masked)
         if got is None:
-            got = _iterates(system, masked, pbits, ones, n)
+            got = masked_iterates(system, masked, n, pbits, ones)
             iterates[masked] = got
         return got
 
     for masked in _subsets(system, subsets):
+        base = iters(masked)
         for i in range(n):
             if i in masked:
                 continue
-            with_i = masked | {i}
+            pinned = iters(masked | {i})
+            diff = 0  # slices where iterates 0..m of S and S + {i} differ anywhere
             for m in range(n + 1):
-                dead = ~eval_formula(system.formulas[i], iters(masked)[m], pbits, ones) & ones
-                if not dead:
+                for a, b in zip(base[m], pinned[m]):
+                    diff |= a ^ b
+                dead = ~eval_formula(system.formulas[i], base[m], pbits, ones) & ones
+                if not diff & dead:
                     continue
                 for p in range(m + 1):
                     for j in range(n):
-                        bad = (iters(masked)[p][j] ^ iters(with_i)[p][j]) & dead
+                        bad = (base[p][j] ^ pinned[p][j]) & dead
                         if bad:
                             return Counterexample(
                                 "masking_preserves_iterates",
@@ -289,7 +279,7 @@ def check_masked_le_pruned(
     values = _pruned_term_values(system, pbits, ones, subs)
     for masked in subs:
         upto = n - len(masked)
-        masked_iter = _iterates(system, masked, pbits, ones, upto)
+        masked_iter = masked_iterates(system, masked, upto, pbits, ones)
         for i in range(n):
             if i in masked:
                 continue  # pinned side is constant 0, trivially bounded
@@ -366,21 +356,6 @@ SUITES: dict[str, Check] = {
     "self_substitution": check_self_substitution,
     "memo_keys": check_memo_keys,
 }
-
-
-def run_all(
-    system: System,
-    params: ParamAssignment | None = None,
-    subsets: Iterable[IndexSet] | None = None,
-) -> list[Counterexample]:
-    """Run every suite on one system; empty list means all passed."""
-    subs = _subsets(system, subsets)
-    out = []
-    for check in SUITES.values():
-        cex = check(system, params, subs)
-        if cex is not None:
-            out.append(cex)
-    return out
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """A minimal DPLL satisfiability checker.
 
-Used as an oracle when testing the CNF emitter; the package never invokes
-an external solver.  Unit propagation runs over occurrence lists with a
+Used by the tests as an oracle for the CNF emitter; the package never
+invokes a SAT solver.  Unit propagation runs over occurrence lists with a
 trail for backtracking, and branching picks the lowest unassigned variable,
 which on circuit encodings means deciding the free inputs first.
 """

@@ -23,10 +23,10 @@ from bes.core import (
     param_masks,
 )
 from bes.dag import build_expanded, build_pruned, dag_stats, eval_dag
-from bes.dpll import solve
 from bes.emit import parse_dimacs, to_cnf, to_dot, to_let_text, to_sexpr, write_dimacs
 from bes.gen import FamilySpec, gen_family, gen_random_monotone
 from bes.text import format_system, parse_system
+from dpll import solve
 
 
 def report(number: int, name: str, ok: bool, extra: str = "") -> None:

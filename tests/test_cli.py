@@ -51,6 +51,15 @@ class TestSolve:
         semantic.write_text("x = y;\n")
         assert main(["solve", str(semantic)]) == 3
 
+    def test_deep_recursion_is_a_clean_error(self, tmp_path, capsys):
+        # 3000 disjuncts parse into a left-deep chain that evaluation recurses through
+        path = tmp_path / "wide.bes"
+        path.write_text("x = " + " | ".join(["x"] * 3000) + ";\n")
+        assert main(["solve", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestBuild:
     def test_sexpr_chain(self, tmp_path, capsys):

@@ -1,18 +1,18 @@
 import pytest
 
-from bes.core import all_param_assignments, kleene_lfp
+from bes.core import decode_param_slice, kleene_lfp
 from bes.dag import build_expanded, build_pruned, eval_dag
-from bes.dpll import solve
 from bes.emit import CnfFormula, parse_dimacs, to_cnf, write_dimacs
 from bes.gen import gen_random_monotone
 from bes.text import parse_system
+from dpll import solve
 
 
 def exists_param(system, var, bit):
     """Brute-force oracle: does any parameter assignment give lfp[var] == bit?"""
+    P = system.num_params
     return any(
-        kleene_lfp(system, p)[0][var] == bit
-        for p in all_param_assignments(system.num_params)
+        kleene_lfp(system, decode_param_slice(P, j))[0][var] == bit for j in range(1 << P)
     )
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bes.core import kleene_lfp, tuple_le
+from bes.core import decode_param_slice, kleene_lfp, tuple_le
 from bes.dag import (
     Apply,
     BOTTOM,
@@ -11,10 +11,10 @@ from bes.dag import (
     build_pruned_reference,
     dag_stats,
     eval_dag,
-    verify_closed_forms,
     with_top_leaves,
 )
 from bes.gen import FamilySpec, gen_family, gen_random_monotone
+from bes.props import check_equality
 from bes.text import parse_system
 
 
@@ -135,11 +135,10 @@ class TestPruned:
     @given(systems(max_n=4, max_params=2))
     @settings(max_examples=80, deadline=None)
     def test_memo_key_restriction_is_sound(self, s):
-        from bes.core import all_param_assignments
-
         reference = build_pruned_reference(s)
         canonical = build_pruned(s)
-        for p in all_param_assignments(s.num_params):
+        P = s.num_params
+        for p in [decode_param_slice(P, j) for j in range(1 << P)]:
             assert eval_dag(canonical, s, p) == eval_dag(reference, s, p)
 
     def test_disconnected_components_share_via_key_restriction(self):
@@ -266,13 +265,14 @@ class TestRootUnrolling:
         # application with the finished root value for v cannot change the
         # value: the variant is squeezed between the pruned value and the
         # fixpoint coordinate, which coincide
-        from bes.core import all_param_assignments, eval_formula
+        from bes.core import eval_formula
         from bes.dag import node_values
 
         for seed in range(60):
             s = gen_random_monotone(seed % 4 + 1, seed % 2, 3, seed + 500)
             base = build_pruned(s)
-            for p in all_param_assignments(s.num_params):
+            P = s.num_params
+            for p in [decode_param_slice(P, j) for j in range(1 << P)]:
                 per_node = node_values(base, s, p)
                 roots = [per_node[r] for r in base.roots]
                 for i, root in enumerate(base.roots):
@@ -288,15 +288,15 @@ class TestRootUnrolling:
 
 class TestVerifyClosedForms:
     def test_identity(self):
-        report = verify_closed_forms(parse_system("x = x;"))
-        assert report.ok
-        assert report.by_iteration == report.pruned_value == report.expanded_value == (0,)
+        s = parse_system("x = x;")
+        assert check_equality(s, ()) is None
+        assert kleene_lfp(s)[0] == eval_dag(build_pruned(s), s) == eval_dag(build_expanded(s), s)
+        assert kleene_lfp(s)[0] == (0,)
 
     def test_example_system(self):
-        report = verify_closed_forms(parse_system("a = 1; b = a & c; c = b | a;"))
-        assert report.ok
-        assert report.by_iteration == (1, 1, 1)
-        assert report.depth == 3
+        s = parse_system("a = 1; b = a & c; c = b | a;")
+        assert check_equality(s, ()) is None
+        assert kleene_lfp(s) == ((1, 1, 1), 3)
 
     def test_all_two_variable_instantiations(self):
         # every pair of parameter-free monotone formulas drawn from a pool
@@ -304,12 +304,19 @@ class TestVerifyClosedForms:
         for fx in pool:
             for fy in pool:
                 s = parse_system(f"x = {fx}; y = {fy};")
-                assert verify_closed_forms(s).ok
+                assert check_equality(s, ()) is None
 
-    def test_mismatch_reporting_shape(self):
-        report = verify_closed_forms(parse_system("x = 1;"))
-        assert report.mismatch_at is None
-        assert "agree" in report.describe()
+    def test_mismatch_reporting_shape(self, monkeypatch):
+        from bes import props
+
+        s = parse_system("x = 1;")
+        assert check_equality(s, ()) is None
+        # a zero-depth unrolling stands in for a broken expanded builder
+        monkeypatch.setattr(props, "build_expanded", lambda system: build_expanded(system, 0))
+        cex = check_equality(s, ())
+        assert cex == props.Counterexample(
+            "equality", s, (), "coordinate x: iterated=True pruned=True expanded=False"
+        )
 
 
 class TestFrozenDiscipline:

@@ -8,7 +8,7 @@ known, plus a sweep asserting no random system ever trips any of them.
 import pytest
 
 from bes import props
-from bes.core import Const, System, Var
+from bes.core import Const, System, Var, masked_iterates
 from bes.gen import gen_random_monotone
 from bes.text import parse_system
 
@@ -28,7 +28,8 @@ class TestSuitesPassOnExamples:
     @pytest.mark.parametrize("text", EXAMPLES)
     def test_all_suites(self, text):
         system = parse_system(text)
-        assert props.run_all(system) == []
+        for check in props.SUITES.values():
+            assert check(system) is None
 
     @pytest.mark.parametrize("name", list(props.SUITES))
     def test_each_suite_individually(self, name):
@@ -74,16 +75,38 @@ class TestCounterexampleMachinery:
         system = parse_system("x = ?p;")
         assert props._decode(system, (1,), 1) == (1,)
 
+    def test_masking_check_reports_a_differing_iterate(self, monkeypatch):
+        # flip y in slice 2 (p=0, q=1) of iterate 1 when x is pinned; x is
+        # dead at iterate 1 in every slice but p=q=1, so the check must
+        # report the first differing coordinate of the first failing m
+        system = parse_system("x = ?p & y; y = x | ?q;")
+        real = props.masked_iterates
+
+        def flipped(system, masked, m, p=(), ones=1):
+            out = real(system, masked, m, p, ones)
+            if masked == {0}:
+                out[1] = (out[1][0], out[1][1] ^ 0b0100)
+            return out
+
+        monkeypatch.setattr(props, "masked_iterates", flipped)
+        cex = props.check_masking_preserves_iterates(system)
+        assert cex == props.Counterexample(
+            "masking_preserves_iterates",
+            system,
+            (0, 1),
+            "masked=[] pinned=x: iterate 1 differs at y (m=1)",
+        )
+
 
 class TestIterateTable:
     def test_table_matches_masked_iteration(self):
-        from bes.core import masked_kleene
-
+        # a shorter run is a prefix of a longer one
         system = parse_system("a = 1; b = a & c; c = b | a;")
         for masked in props._all_subsets(system.n):
-            table = props._iterates(system, masked, (), 1, system.n)
+            table = masked_iterates(system, masked, system.n)
+            assert len(table) == system.n + 1
             for m in range(system.n + 1):
-                assert table[m] == masked_kleene(system, masked, m)
+                assert masked_iterates(system, masked, m) == table[: m + 1]
 
 
 class TestSubsetHandling:
