@@ -15,7 +15,10 @@ immutable and side-effect free.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 import re
 
 Valuation = tuple[int, ...]        # one bit per state variable
@@ -127,10 +130,25 @@ class System:
 
     def supports(self) -> list[tuple[int, ...]]:
         """Sorted support of each equation, by equation index."""
-        return [tuple(sorted(support(f))) for f in self.formulas]
+        return list(self._supports)
+
+    # Computed once per system on first use and kept in the instance dict,
+    # outside the dataclass fields, so equality and hashing never see them.
+    @cached_property
+    def _supports(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(sorted(support(f))) for f in self.formulas)
+
+    @cached_property
+    def _readers(self) -> tuple[tuple[int, ...], ...]:
+        """For each variable j, the equations whose support contains j."""
+        readers: list[list[int]] = [[] for _ in self.formulas]
+        for i, supp in enumerate(self._supports):
+            for j in supp:
+                readers[j].append(i)
+        return tuple(map(tuple, readers))
 
 
-def eval_formula(f: Formula, x: Valuation, p: ParamAssignment, ones: int = 1) -> int:
+def eval_formula(f: Formula, x: Sequence[int], p: ParamAssignment, ones: int = 1) -> int:
     """Value of f under state bits x and parameter bits p.
 
     Bits may be packed bitmasks covering many scenarios at once; ``ones``
@@ -162,6 +180,38 @@ def tuple_le(x: Valuation, y: Valuation) -> bool:
     return all(a <= b for a, b in zip(x, y))
 
 
+def _changing_rounds(
+    system: System, x: list[int], masked: IndexSet, p: ParamAssignment, ones: int
+) -> Iterator[None]:
+    """Apply the system in rounds to x in place; yield after each round that
+    changed x, and stop at the first round that changes nothing.
+
+    Equations in ``masked`` stay 0.  Round 1 evaluates every other equation;
+    each later round re-evaluates only the readers of the variables the
+    previous round changed.  That is exact: f_i reads only its support, so
+    if no variable in it changed, neither does x_i.  Every round evaluates
+    against the previous iterate, so the rounds are the parallel
+    applications x^{k+1} = f(x^k) themselves.
+    """
+    formulas = system.formulas
+    readers = system._readers
+    dirty = set(range(system.n)).difference(masked)
+    while True:
+        changed = []
+        for i in dirty:
+            value = eval_formula(formulas[i], x, p, ones)
+            if value != x[i]:
+                changed.append((i, value))
+        if not changed:
+            return
+        dirty = set()
+        for j, value in changed:
+            x[j] = value
+            dirty.update(readers[j])
+        dirty.difference_update(masked)
+        yield
+
+
 def kleene_lfp(
     system: System, p: ParamAssignment = (), ones: int = 1
 ) -> tuple[Valuation, int]:
@@ -171,15 +221,19 @@ def kleene_lfp(
     applications after which the iterate stops changing.  The depth is at
     most n; exceeding that bound means an equation is not monotone and
     raises NonMonotoneError.
+
+    Each application after the first re-evaluates only the equations with a
+    variable in their support that the one before changed.  The others would
+    return the value they already have, so the iterates, and with them the
+    depth, are those of applying every equation in every round.
     """
-    n = system.n
-    x = (0,) * n
-    for k in range(n + 1):
-        nxt = step(system, x, p, ones)
-        if nxt == x:
-            return x, k
-        x = nxt
-    raise NonMonotoneError("iteration exceeded the lattice height; system is not monotone")
+    x = [0] * system.n
+    depth = 0
+    for _ in _changing_rounds(system, x, frozenset(), p, ones):
+        depth += 1
+        if depth > system.n:
+            raise NonMonotoneError("iteration exceeded the lattice height; system is not monotone")
+    return tuple(x), depth
 
 
 def masked_iterates(
@@ -192,19 +246,18 @@ def masked_iterates(
     """Iterates x^0 .. x^m where equations in ``masked`` are pinned to 0.
 
     Runs the system whose i-th component is the constant 0 when i is in
-    ``masked`` and f_i otherwise, starting from all zeros.
+    ``masked`` and f_i otherwise, starting from all zeros.  Like
+    ``kleene_lfp``, each round re-evaluates only the equations with a variable
+    in their support that the round before changed; once a round changes
+    nothing, the rest of the iterates repeat the last one.
     """
     if m < 0:
         raise ValueError("iteration count must be nonnegative")
-    n = system.n
-    x: Valuation = (0,) * n
-    out = [x]
-    for _ in range(m):
-        x = tuple(
-            0 if i in masked else eval_formula(system.formulas[i], x, p, ones)
-            for i in range(n)
-        )
-        out.append(x)
+    x = [0] * system.n
+    out = [tuple(x)]
+    for _ in islice(_changing_rounds(system, x, masked, p, ones), m):
+        out.append(tuple(x))
+    out.extend([out[-1]] * (m + 1 - len(out)))
     return out
 
 

@@ -230,18 +230,20 @@ def node_values(
     """Value of every node in table order, computed bottom-up in one pass."""
     if dag.arity != system.n:
         raise ValueError("DAG arity does not match the system")
-    supports = system.supports()
-    n = system.n
+    supports = [list(supp) for supp in system.supports()]
+    formulas = system.formulas
+    # One argument buffer serves every node: a node writes exactly the
+    # support slots of its equation, which are all that equation reads.
+    x = [0] * system.n
     values = [0, ones]
     for tid in range(2, len(dag)):
         node = dag.node(tid)
         assert isinstance(node, Apply)
-        if tuple(v for v, _ in node.args) != supports[node.func]:
+        if [v for v, _ in node.args] != supports[node.func]:
             raise ValueError("DAG argument layout does not match the system's supports")
-        x = [0] * n
         for v, arg in node.args:
             x[v] = values[arg]
-        values.append(eval_formula(system.formulas[node.func], tuple(x), p, ones))
+        values.append(eval_formula(formulas[node.func], x, p, ones))
     return values
 
 

@@ -14,6 +14,7 @@ from bes.core import (
     greatest_fixpoint,
     kleene_lfp,
     masked_iterates,
+    param_masks,
     step,
     substitute_var,
     support,
@@ -162,6 +163,111 @@ class TestMaskedIteration:
     def test_zero_iterations(self):
         s = parse_system("x = 1; y = 1;")
         assert masked_iterates(s, frozenset(), 0)[0] == (0, 0)
+
+
+def definitional_lfp(s, p, ones):
+    """Apply every equation in every round until the iterate stops changing."""
+    x = (0,) * s.n
+    for k in range(s.n + 1):
+        nxt = step(s, x, p, ones)
+        if nxt == x:
+            return x, k
+        x = nxt
+    raise NonMonotoneError("no fixpoint within n + 1 rounds")
+
+
+def definitional_iterates(s, masked, m, p, ones):
+    """x^0 .. x^m of the system with the equations in ``masked`` pinned to 0."""
+    x = (0,) * s.n
+    out = [x]
+    for _ in range(m):
+        x = tuple(0 if i in masked else b for i, b in enumerate(step(s, x, p, ones)))
+        out.append(x)
+    return out
+
+
+class TestChangeDrivenIteration:
+    """Re-evaluating only the readers of changed variables gives the same
+    iterates, fixpoint and depth as applying every equation every round."""
+
+    def test_matches_definitional_loop(self):
+        for seed in range(1000):
+            s = gen_random_monotone(seed % 8 + 1, seed % 4, 3, seed)
+            runs = [(p, 1) for p in all_params(s.num_params)]
+            runs.append(param_masks(s.num_params))
+            masked_sets = [frozenset()]
+            if s.n <= 5:
+                masked_sets = [
+                    frozenset(i for i in range(s.n) if (bits >> i) & 1)
+                    for bits in range(1 << s.n)
+                ]
+            for p, ones in runs:
+                assert kleene_lfp(s, p, ones) == definitional_lfp(s, p, ones)
+                for masked in masked_sets:
+                    expected = definitional_iterates(s, masked, s.n + 1, p, ones)
+                    for m in range(s.n + 2):
+                        assert masked_iterates(s, masked, m, p, ones) == expected[: m + 1]
+
+    def test_chain_costs_linear_evaluations(self, monkeypatch):
+        import bes.core
+
+        n = 1000
+        s = parse_system("d0 = 1;\n" + "".join(f"d{i} = d{i - 1};\n" for i in range(1, n)))
+        calls = 0
+        real = bes.core.eval_formula
+
+        def counting(f, x, p, ones=1):
+            nonlocal calls
+            calls += 1
+            return real(f, x, p, ones)
+
+        monkeypatch.setattr(bes.core, "eval_formula", counting)
+        assert kleene_lfp(s) == ((1,) * n, n)
+        # n in the first round, then one reader per round; the round-based
+        # loop made n * (n + 1)
+        assert calls <= 2 * n
+
+    def test_oscillation_raises_after_n_plus_1_rounds(self, monkeypatch):
+        import bes.core
+
+        s = parse_system("a = b; b = c; c = a;")
+        calls = 0
+
+        def negated(f, x, p, ones=1):
+            nonlocal calls
+            calls += 1
+            return x[f.index] ^ ones
+
+        monkeypatch.setattr(bes.core, "eval_formula", negated)
+        with pytest.raises(NonMonotoneError):
+            kleene_lfp(s)
+        assert calls == s.n * (s.n + 1)
+
+
+class TestSupportCache:
+    TEXT = "a = b & ?p; b = a | c; c = 1;"
+
+    def test_cache_is_invisible(self):
+        import dataclasses
+
+        warm, cold = parse_system(self.TEXT), parse_system(self.TEXT)
+        fields_before = dataclasses.fields(warm)
+        assert warm.supports() == [(1,), (0, 2), ()]
+        kleene_lfp(warm, (1,))
+        assert warm == cold and cold == warm
+        assert hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert dataclasses.fields(warm) == fields_before
+        assert [f.name for f in fields_before] == ["formulas", "var_names", "param_names"]
+        assert dataclasses.replace(warm) == cold
+
+    def test_returned_list_is_a_copy(self):
+        s = parse_system(self.TEXT)
+        got = s.supports()
+        got[0] = (2,)
+        got.append((0,))
+        assert s.supports() == [(1,), (0, 2), ()]
+        assert kleene_lfp(s, (1,)) == ((1, 1, 1), 3)
 
 
 class TestSupport:
