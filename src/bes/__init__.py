@@ -18,7 +18,6 @@ from .core import (
     System,
     Valuation,
     Var,
-    dualize,
     eval_formula,
     greatest_fixpoint,
     kleene_lfp,
@@ -80,7 +79,6 @@ __all__ = [
     "build_expanded",
     "build_pruned",
     "dag_stats",
-    "dualize",
     "eval_dag",
     "eval_formula",
     "format_system",

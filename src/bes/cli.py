@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import props
-from .core import ParamAssignment, System, dualize, greatest_fixpoint, kleene_lfp
+from .core import ParamAssignment, System, greatest_fixpoint, kleene_lfp
 from .dag import TermDag, build_expanded, build_pruned, dag_stats, with_top_leaves
 from .emit import (
     TreeSizeLimitError,
@@ -85,13 +85,12 @@ def _cmd_solve(args) -> int:
 
 
 def _build_dag(system: System, form: str, depth: int | None, gfp: bool) -> TermDag:
-    work = dualize(system) if gfp else system
     if form == "pruned":
         if depth is not None:
             raise SemanticError("--depth applies to the expanded form only")
-        dag = build_pruned(work)
+        dag = build_pruned(system)
     else:
-        dag = build_expanded(work, depth)
+        dag = build_expanded(system, depth)
     return with_top_leaves(dag) if gfp else dag
 
 

@@ -4,8 +4,9 @@ A system is an ordered list of equations x_i = f_i(x_1, ..., x_n) over the
 two-point lattice {0, 1}.  Right-hand sides are built from constants, state
 variables, free parameters (of either polarity), conjunction, and
 disjunction.  Negation of state variables is excluded by construction, so
-every f_i is monotone in the state and the least fixpoint exists and is
-reached by iterating from the all-zeros tuple in at most n steps.
+every f_i is monotone in the state: the least fixpoint is reached by
+iterating from the all-zeros tuple in at most n steps, the greatest from
+the all-ones tuple.
 
 Bits are plain ints.  Evaluation works bitwise, so callers may pack many
 boolean scenarios into one int (pass the all-ones mask as ``ones``); the
@@ -119,6 +120,8 @@ class System:
                     raise ValueError(f"equation {i} uses parameter index {node.index} out of range")
                 elif isinstance(node, Const) and node.value not in (0, 1):
                     raise ValueError(f"equation {i} uses constant {node.value!r}, not 0 or 1")
+                elif not isinstance(node, (Const, Var, Param)):
+                    raise ValueError(f"equation {i} contains {node!r}, not a formula node")
 
     @property
     def n(self) -> int:
@@ -212,6 +215,23 @@ def _changing_rounds(
         yield
 
 
+def _settle(
+    system: System, x: list[int], p: ParamAssignment, ones: int
+) -> tuple[Valuation, int]:
+    """Iterate from x until a round changes nothing; return (fixpoint, depth).
+
+    Depth counts the rounds that changed something.  From a bottom or top
+    start a monotone system settles within n of them, so one more raises
+    NonMonotoneError.
+    """
+    depth = 0
+    for _ in _changing_rounds(system, x, frozenset(), p, ones):
+        depth += 1
+        if depth > system.n:
+            raise NonMonotoneError("iteration exceeded the lattice height; system is not monotone")
+    return tuple(x), depth
+
+
 def kleene_lfp(
     system: System, p: ParamAssignment = (), ones: int = 1
 ) -> tuple[Valuation, int]:
@@ -227,13 +247,17 @@ def kleene_lfp(
     return the value they already have, so the iterates, and with them the
     depth, are those of applying every equation in every round.
     """
-    x = [0] * system.n
-    depth = 0
-    for _ in _changing_rounds(system, x, frozenset(), p, ones):
-        depth += 1
-        if depth > system.n:
-            raise NonMonotoneError("iteration exceeded the lattice height; system is not monotone")
-    return tuple(x), depth
+    return _settle(system, [0] * system.n, p, ones)
+
+
+def greatest_fixpoint(system: System, p: ParamAssignment = ()) -> tuple[Valuation, int]:
+    """Greatest fixpoint by descending iteration from the all-ones tuple.
+
+    The mirror image of ``kleene_lfp``: the iterates descend and settle
+    within n applications, and depth counts the applications that changed
+    something.
+    """
+    return _settle(system, [1] * system.n, p, 1)
 
 
 def masked_iterates(
@@ -259,38 +283,6 @@ def masked_iterates(
         out.append(tuple(x))
     out.extend([out[-1]] * (m + 1 - len(out)))
     return out
-
-
-def dualize_formula(f: Formula) -> Formula:
-    """De Morgan dual: swap and/or and 0/1, flip parameter polarity."""
-    if isinstance(f, Var):
-        return f
-    if isinstance(f, And):
-        return Or(dualize_formula(f.left), dualize_formula(f.right))
-    if isinstance(f, Or):
-        return And(dualize_formula(f.left), dualize_formula(f.right))
-    if isinstance(f, Param):
-        return Param(f.index, not f.negated)
-    return Const(1 - f.value)
-
-
-def dualize(system: System) -> System:
-    """The De Morgan dual system.
-
-    The least fixpoint of the dual is the bitwise complement of the
-    greatest fixpoint of the original, at every parameter assignment.
-    """
-    return System(
-        tuple(dualize_formula(f) for f in system.formulas),
-        system.var_names,
-        system.param_names,
-    )
-
-
-def greatest_fixpoint(system: System, p: ParamAssignment = ()) -> tuple[Valuation, int]:
-    """Greatest fixpoint via dualization; depth is the dual iteration's depth."""
-    value, depth = kleene_lfp(dualize(system), p)
-    return tuple(1 - b for b in value), depth
 
 
 def substitute_var(f: Formula, index: int, replacement: Formula) -> Formula:

@@ -77,7 +77,7 @@ class TermDag:
         tid = self._index.get(key)
         if tid is None:
             for _, arg in args:
-                if arg >= len(self._nodes):
+                if not 0 <= arg < len(self._nodes):
                     raise ValueError("argument refers to a node that does not exist yet")
             tid = len(self._nodes)
             self._nodes.append(Apply(func, args))
@@ -209,9 +209,11 @@ def build_expanded(system: System, k: int | None = None) -> TermDag:
 def with_top_leaves(dag: TermDag) -> TermDag:
     """Copy of the DAG with every bottom leaf replaced by top.
 
-    Evaluating the copy under the original (non-dualized) system yields the
-    greatest fixpoint, because builders only consult supports and
-    dualization preserves them.
+    The builders unroll the system from bottom, where ascending iteration
+    starts; the copy unrolls the same equations from top, where descending
+    iteration starts.  So where the DAG evaluates to the least fixpoint (the
+    pruned form, or the expanded form at the default depth n), the copy
+    evaluates to the greatest.
     """
     out = TermDag(dag.arity)
     remap = {BOTTOM: TOP, TOP: TOP}

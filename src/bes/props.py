@@ -26,7 +26,7 @@ The suites:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -80,6 +80,13 @@ def _decode(system: System, params: ParamAssignment | None, bad_mask: int) -> Pa
     return decode_param_slice(system.num_params, _bad_slice(bad_mask))
 
 
+# Largest n whose 2**n masked sets are swept exhaustively.
+_MAX_EXHAUSTIVE_N = 14
+# Shape of the random systems in ``run_random_battery``.
+_RANDOM_MAX_PARAMS = 2
+_RANDOM_MAX_DEPTH = 4
+
+
 def _all_subsets(n: int) -> list[IndexSet]:
     return [frozenset(i for i in range(n) if (m >> i) & 1) for m in range(1 << n)]
 
@@ -87,7 +94,7 @@ def _all_subsets(n: int) -> list[IndexSet]:
 def _subsets(system: System, subsets: Iterable[IndexSet] | None) -> list[IndexSet]:
     if subsets is not None:
         return list(subsets)
-    if system.n > 14:
+    if system.n > _MAX_EXHAUSTIVE_N:
         raise ValueError("exhaustive subset sweep is too large; pass a subset sample")
     return _all_subsets(system.n)
 
@@ -105,8 +112,6 @@ def _pruned_term_values(
         for masked in subsets
         for i in range(system.n)
     }
-    builder.dag.set_roots(tuple(builder.term(frozenset(), i) for i in range(system.n)))
-    builder.dag.freeze()
     values = node_values(builder.dag, system, pbits, ones)
     return {key: values[tid] for key, tid in tids.items()}
 
@@ -363,32 +368,29 @@ class SuiteTally:
     name: str
     passed: int = 0
     failed: int = 0
-    failures: list[Counterexample] | None = None
+    failures: list[Counterexample] = field(default_factory=list)
 
     def record(self, cex: Counterexample | None) -> None:
         if cex is None:
             self.passed += 1
         else:
             self.failed += 1
-            if self.failures is None:
-                self.failures = []
             self.failures.append(cex)
 
 
-def run_random_battery(
-    trials: int,
-    seed: int,
-    max_n: int = 6,
-    max_params: int = 2,
-    max_depth: int = 4,
-) -> list[SuiteTally]:
+def run_random_battery(trials: int, seed: int, max_n: int = 6) -> list[SuiteTally]:
     """Seeded random systems through every suite, all parameter assignments."""
+    if not 1 <= max_n <= _MAX_EXHAUSTIVE_N:
+        raise ValueError(
+            f"max_n={max_n} is outside 1..{_MAX_EXHAUSTIVE_N}, "
+            "the sizes whose masked sets are swept exhaustively"
+        )
     rng = random.Random(seed)
     tallies = [SuiteTally(name) for name in SUITES]
     for _ in range(trials):
         n = rng.randint(1, max_n)
-        num_params = rng.randint(0, max_params)
-        system = gen_random_monotone(n, num_params, max_depth, rng.randrange(2**62))
+        num_params = rng.randint(0, _RANDOM_MAX_PARAMS)
+        system = gen_random_monotone(n, num_params, _RANDOM_MAX_DEPTH, rng.randrange(2**62))
         subs = _all_subsets(n)
         for tally, check in zip(tallies, SUITES.values()):
             tally.record(check(system, None, subs))

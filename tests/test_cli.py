@@ -150,6 +150,14 @@ class TestVerify:
     def test_needs_input(self):
         assert main(["verify"]) == 3
 
+    def test_random_max_n_outside_the_sweep_range(self, capsys):
+        # 2**15 masked sets per system would run for minutes; refuse up front
+        for max_n in ("15", "0"):
+            assert main(["verify", "--random", "--max-n", max_n, "--trials", "1"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: max_n=") and captured.err.count("\n") == 1
+
 
 class TestGen:
     def test_chain(self, capsys):

@@ -1,10 +1,11 @@
 import pytest
 
-from bes.core import decode_param_slice, kleene_lfp
+from bes.cli import main
+from bes.core import decode_param_slice, greatest_fixpoint, kleene_lfp
 from bes.dag import build_expanded, build_pruned, eval_dag
 from bes.emit import CnfFormula, parse_dimacs, to_cnf, write_dimacs
 from bes.gen import gen_random_monotone
-from bes.text import parse_system
+from bes.text import format_system, parse_system
 from dpll import solve
 
 
@@ -101,6 +102,30 @@ class TestToCnf:
         assert model is not None
         p = tuple(int(model[k + 1]) for k in range(s.num_params))
         assert eval_dag(dag, s, p)[0] == 1
+
+
+class TestGfpQuery:
+    def test_cli_gfp_dimacs_is_equisatisfiable(self, tmp_path):
+        # `build --gfp` end to end: the query v=b is satisfiable exactly
+        # when some parameter assignment gives greatest-fixpoint bit b at v
+        path = tmp_path / "s.bes"
+        out = tmp_path / "s.cnf"
+        for seed in range(80):
+            s = gen_random_monotone(seed % 5 + 1, seed % 4, 4, seed + 900)
+            path.write_text(format_system(s))
+            P = s.num_params
+            gfps = [greatest_fixpoint(s, decode_param_slice(P, j))[0] for j in range(1 << P)]
+            form = ("pruned", "expanded")[seed % 2]
+            for var, name in enumerate(s.var_names):
+                for bit in (0, 1):
+                    query = f"{name}={bit}"
+                    assert main(
+                        ["build", str(path), "--form", form, "--emit", "dimacs",
+                         "--query", query, "--gfp", "-o", str(out)]
+                    ) == 0
+                    cnf = parse_dimacs(out.read_text())
+                    sat = solve(cnf.num_vars, cnf.clauses) is not None
+                    assert sat == any(g[var] == bit for g in gfps), (seed, name, bit)
 
 
 def _vc(cnf):

@@ -9,7 +9,6 @@ from bes.core import (
     Param,
     System,
     Var,
-    dualize,
     eval_formula,
     greatest_fixpoint,
     kleene_lfp,
@@ -165,9 +164,11 @@ class TestMaskedIteration:
         assert masked_iterates(s, frozenset(), 0)[0] == (0, 0)
 
 
-def definitional_lfp(s, p, ones):
-    """Apply every equation in every round until the iterate stops changing."""
-    x = (0,) * s.n
+def definitional_fixpoint(s, start, p, ones):
+    """Apply every equation in every round, from ``start`` in every slot,
+    until the iterate stops changing: the least fixpoint from 0, the
+    greatest from ``ones``."""
+    x = (start,) * s.n
     for k in range(s.n + 1):
         nxt = step(s, x, p, ones)
         if nxt == x:
@@ -202,11 +203,17 @@ class TestChangeDrivenIteration:
                     for bits in range(1 << s.n)
                 ]
             for p, ones in runs:
-                assert kleene_lfp(s, p, ones) == definitional_lfp(s, p, ones)
+                assert kleene_lfp(s, p, ones) == definitional_fixpoint(s, 0, p, ones)
                 for masked in masked_sets:
                     expected = definitional_iterates(s, masked, s.n + 1, p, ones)
                     for m in range(s.n + 2):
                         assert masked_iterates(s, masked, m, p, ones) == expected[: m + 1]
+
+    def test_gfp_matches_descending_loop(self):
+        for seed in range(1000):
+            s = gen_random_monotone(seed % 8 + 1, seed % 4, 3, seed)
+            for p in all_params(s.num_params):
+                assert greatest_fixpoint(s, p) == definitional_fixpoint(s, 1, p, 1), (seed, p)
 
     def test_chain_costs_linear_evaluations(self, monkeypatch):
         import bes.core
@@ -303,24 +310,11 @@ class TestTupleOrder:
 class TestDualize:
     def test_identity_system_self_dual(self):
         s = parse_system("x = x;")
-        assert dualize(s) == s
         assert greatest_fixpoint(s) == ((1,), 0)
 
     def test_and_zero(self):
         s = parse_system("x = x & 0;")
-        d = dualize(s)
-        assert d.formulas == (Or(Var(0), Const(1)),)
-        assert kleene_lfp(d)[0] == (1,)
-        assert greatest_fixpoint(s)[0] == (0,)
-
-    def test_syntactic_swap(self):
-        s = parse_system("x = x | y; y = x & y;")
-        assert dualize(s).formulas == (And(Var(0), Var(1)), Or(Var(0), Var(1)))
-
-    @given(systems())
-    @settings(max_examples=100, deadline=None)
-    def test_involution(self, s):
-        assert dualize(dualize(s)) == s
+        assert greatest_fixpoint(s) == ((0,), 1)
 
     @given(systems(max_n=4, max_params=2))
     @settings(max_examples=80, deadline=None)
@@ -401,12 +395,17 @@ class TestSystemValidation:
             System((Param(0),), ("x",), ("x",))
 
     def test_rejects_constants_other_than_0_and_1(self):
-        # Const(2) used to solve to 1 but dualize to Const(-1), and printed
-        # as text the parser refuses
+        # Const(2) would solve to 1 but print as text the parser refuses
         for value in (2, -1):
             with pytest.raises(ValueError, match="constant"):
                 System((Or(Var(0), Const(value)),), ("x",))
         assert System((And(Const(1), Const(0)),), ("x",)).n == 1
+
+    def test_rejects_non_formula_nodes(self):
+        # caught here, not later as a TypeError deep inside eval_formula
+        for bad in ("junk", Or(Var(0), 1), And(None, Var(0))):
+            with pytest.raises(ValueError, match="not a formula node"):
+                System((bad,), ("x",))
 
 
 # The public functions and classes each reworked module defines.  Names
@@ -415,9 +414,9 @@ class TestSystemValidation:
 DEFINED = {
     "core": {
         "And", "Const", "NonMonotoneError", "Or", "Param", "System", "Var",
-        "decode_param_slice", "dualize", "dualize_formula", "eval_formula",
-        "greatest_fixpoint", "kleene_lfp", "masked_iterates", "param_masks",
-        "step", "substitute_var", "support", "tuple_le",
+        "decode_param_slice", "eval_formula", "greatest_fixpoint", "kleene_lfp",
+        "masked_iterates", "param_masks", "step", "substitute_var", "support",
+        "tuple_le",
     },
     "dag": {
         "Apply", "DagStats", "PrunedBuilder", "TermDag", "build_expanded",

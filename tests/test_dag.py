@@ -251,12 +251,17 @@ class TestTopLeaves:
                 assert dag.node(tid) == "top"
 
     def test_evaluates_to_greatest_fixpoint(self):
-        from bes.core import greatest_fixpoint, dualize
+        from bes.core import greatest_fixpoint, param_masks
 
-        for seed in range(40):
-            s = gen_random_monotone(seed % 4 + 1, 0, 4, seed)
-            dag = with_top_leaves(build_pruned(dualize(s)))
-            assert eval_dag(dag, s) == greatest_fixpoint(s)[0]
+        for seed in range(60):
+            s = gen_random_monotone(seed % 4 + 1, seed % 3, 4, seed)
+            P = s.num_params
+            gfps = [greatest_fixpoint(s, decode_param_slice(P, j))[0] for j in range(1 << P)]
+            masks, ones = param_masks(P)
+            for build in (build_pruned, build_expanded):
+                packed = eval_dag(with_top_leaves(build(s)), s, masks, ones)
+                for j, gfp in enumerate(gfps):
+                    assert tuple((v >> j) & 1 for v in packed) == gfp, (seed, build, j)
 
 
 class TestRootUnrolling:
@@ -331,6 +336,19 @@ class TestFrozenDiscipline:
         b = parse_system("x = x; y = y;")
         with pytest.raises(ValueError):
             eval_dag(build_pruned(a), b)
+
+    def test_argument_ids_outside_the_table_rejected(self):
+        # node_values would read a negative id as a Python index from the
+        # end: for x = x an argument of -1 picks up top and evaluates to 1,
+        # not the fixpoint 0
+        from bes.dag import TermDag
+
+        dag = TermDag(1)
+        for arg in (-1, -2, 2):
+            with pytest.raises(ValueError):
+                dag.apply(0, ((0, arg),))
+        assert len(dag) == 2
+        assert dag.apply(0, ((0, BOTTOM),)) == 2
 
     def test_support_mismatch_rejected(self):
         a = parse_system("x = x; y = x;")
