@@ -176,8 +176,8 @@ def _cmd_verify(args) -> int:
             raise SemanticError("verify needs a file or --random")
         system = _read_system(args.file)
         subsets = None
-        if system.n > 12:
-            # exhaustive masked-set sweeps stop scaling here; sample instead
+        if system.n > props._MAX_EXHAUSTIVE_N:
+            # past the suites' exhaustive masked-set limit, sample instead
             rng = random.Random(args.seed)
             subsets = [
                 frozenset(i for i in range(system.n) if rng.random() < 0.5)

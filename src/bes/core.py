@@ -171,8 +171,15 @@ def eval_formula(f: Formula, x: Sequence[int], p: ParamAssignment, ones: int = 1
     raise TypeError(f"not a formula node: {f!r}")
 
 
+def _check_params(system: System, p: ParamAssignment) -> None:
+    """Refuse a parameter tuple that does not give one bit per parameter."""
+    if len(p) != system.num_params:
+        raise ValueError(f"expected {system.num_params} parameter bits, got {len(p)}")
+
+
 def step(system: System, x: Valuation, p: ParamAssignment = (), ones: int = 1) -> Valuation:
     """One parallel application of all equations to x."""
+    _check_params(system, p)
     return tuple(eval_formula(f, x, p, ones) for f in system.formulas)
 
 
@@ -224,6 +231,7 @@ def _settle(
     start a monotone system settles within n of them, so one more raises
     NonMonotoneError.
     """
+    _check_params(system, p)
     depth = 0
     for _ in _changing_rounds(system, x, frozenset(), p, ones):
         depth += 1
@@ -277,6 +285,7 @@ def masked_iterates(
     """
     if m < 0:
         raise ValueError("iteration count must be nonnegative")
+    _check_params(system, p)
     x = [0] * system.n
     out = [tuple(x)]
     for _ in islice(_changing_rounds(system, x, masked, p, ones), m):

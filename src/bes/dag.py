@@ -11,20 +11,25 @@ Two builders produce an expression for the fixpoint without evaluating it:
   drops masked indices the subterm can never consult.
 
 Nodes are uninterpreted applications ``Apply(i, args)`` of equation i to
-one subterm per support variable of f_i, in ascending variable order.  The
-two leaves bottom and top occupy ids 0 and 1 of every DAG.  A DAG is
-mutable only while its builder runs; everything downstream sees it frozen.
+one subterm per support variable of f_i, in ascending variable order.  Each
+node is a named tuple and serves as its own key in the hash-consing index,
+so one object per node is stored.  The two leaves bottom and top occupy ids
+0 and 1 of every DAG.  A builder ends with ``freeze(roots)``, which sets one
+root per equation and closes the table; everything downstream reads a DAG
+with roots, and a DAG is frozen exactly when it has them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     IndexSet,
     ParamAssignment,
     System,
     Valuation,
+    _check_params,
     eval_formula,
 )
 
@@ -32,8 +37,7 @@ BOTTOM = 0
 TOP = 1
 
 
-@dataclass(frozen=True)
-class Apply:
+class Apply(NamedTuple):
     """Application of equation ``func`` to one argument per support variable."""
 
     func: int
@@ -41,14 +45,17 @@ class Apply:
 
 
 class TermDag:
-    """Append-only, hash-consed table of term nodes with one root per equation."""
+    """Append-only, hash-consed table of term nodes with one root per equation.
+
+    Nodes are added with ``apply`` until ``freeze`` sets the roots; after
+    that the table is read-only, and reading ``roots`` before it raises.
+    """
 
     def __init__(self, arity: int):
         self.arity = arity
         self._nodes: list[Apply | str] = ["bot", "top"]
-        self._index: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
+        self._index: dict[Apply, int] = {}
         self._roots: tuple[int, ...] | None = None
-        self._frozen = False
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -65,36 +72,30 @@ class TermDag:
             raise RuntimeError("DAG has no roots yet")
         return self._roots
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     def apply(self, func: int, args: tuple[tuple[int, int], ...]) -> int:
         """Intern an application node; structurally equal nodes share one id."""
-        if self._frozen:
+        if self._roots is not None:
             raise RuntimeError("DAG is frozen")
-        key = (func, args)
-        tid = self._index.get(key)
+        node = Apply(func, args)
+        tid = self._index.get(node)
         if tid is None:
             for _, arg in args:
                 if not 0 <= arg < len(self._nodes):
                     raise ValueError("argument refers to a node that does not exist yet")
             tid = len(self._nodes)
-            self._nodes.append(Apply(func, args))
-            self._index[key] = tid
+            self._nodes.append(node)
+            self._index[node] = tid
         return tid
 
-    def set_roots(self, roots: tuple[int, ...]) -> None:
-        if self._frozen:
+    def freeze(self, roots: tuple[int, ...]) -> "TermDag":
+        """Set one root per equation and end construction; returns the DAG."""
+        if self._roots is not None:
             raise RuntimeError("DAG is frozen")
         if len(roots) != self.arity:
             raise ValueError("need exactly one root per equation")
+        if not all(0 <= r < len(self._nodes) for r in roots):
+            raise ValueError("root refers to a node that does not exist")
         self._roots = roots
-
-    def freeze(self) -> "TermDag":
-        if self._roots is None:
-            raise RuntimeError("cannot freeze a DAG without roots")
-        self._frozen = True
         return self
 
     def reachable(self) -> list[int]:
@@ -133,9 +134,10 @@ class PrunedBuilder:
     """Shared construction of pruned subterms for any (masked set, equation) pair.
 
     ``canonical_keys`` switches the memo key between the raw masked set and
-    its restriction to the indices actually consultable from the equation's
-    support; both produce semantically identical terms, the restricted key
-    just shares more work.
+    its restriction to the equation's cone, the indices consultable from it;
+    both produce semantically identical terms, the restricted key just
+    shares more work.  The equation's own index is in its cone but never in
+    a key: ``term`` returns bottom before forming one when it is masked.
     """
 
     def __init__(self, system: System, canonical_keys: bool = True):
@@ -143,14 +145,7 @@ class PrunedBuilder:
         self.dag = TermDag(system.n)
         self._supports = system.supports()
         self._memo: dict[tuple[int, IndexSet], int] = {}
-        if canonical_keys:
-            cones = _cones(system)
-            self._key_sets = [
-                frozenset().union(*(cones[j] for j in supp)) if supp else frozenset()
-                for supp in self._supports
-            ]
-        else:
-            self._key_sets = None
+        self._key_sets = _cones(system) if canonical_keys else None
 
     def term(self, masked: IndexSet, i: int) -> int:
         """Id of the subterm for equation i under the given masked set."""
@@ -171,16 +166,14 @@ def build_pruned(system: System) -> TermDag:
     """The pruned closed form: one root per equation, nothing masked at the top."""
     builder = PrunedBuilder(system)
     empty: IndexSet = frozenset()
-    builder.dag.set_roots(tuple(builder.term(empty, i) for i in range(system.n)))
-    return builder.dag.freeze()
+    return builder.dag.freeze(tuple(builder.term(empty, i) for i in range(system.n)))
 
 
 def build_pruned_reference(system: System) -> TermDag:
     """Pruned form built with unrestricted memo keys; oracle for key soundness."""
     builder = PrunedBuilder(system, canonical_keys=False)
     empty: IndexSet = frozenset()
-    builder.dag.set_roots(tuple(builder.term(empty, i) for i in range(system.n)))
-    return builder.dag.freeze()
+    return builder.dag.freeze(tuple(builder.term(empty, i) for i in range(system.n)))
 
 
 def build_expanded(system: System, k: int | None = None) -> TermDag:
@@ -202,8 +195,7 @@ def build_expanded(system: System, k: int | None = None) -> TermDag:
         level = [
             dag.apply(i, tuple((j, level[j]) for j in supports[i])) for i in range(n)
         ]
-    dag.set_roots(tuple(level))
-    return dag.freeze()
+    return dag.freeze(tuple(level))
 
 
 def with_top_leaves(dag: TermDag) -> TermDag:
@@ -222,8 +214,7 @@ def with_top_leaves(dag: TermDag) -> TermDag:
         assert isinstance(node, Apply)
         args = tuple((v, remap[a]) for v, a in node.args)
         remap[tid] = out.apply(node.func, args)
-    out.set_roots(tuple(remap[r] for r in dag.roots))
-    return out.freeze()
+    return out.freeze(tuple(remap[r] for r in dag.roots))
 
 
 def node_values(
@@ -232,6 +223,7 @@ def node_values(
     """Value of every node in table order, computed bottom-up in one pass."""
     if dag.arity != system.n:
         raise ValueError("DAG arity does not match the system")
+    _check_params(system, p)
     supports = [list(supp) for supp in system.supports()]
     formulas = system.formulas
     # One argument buffer serves every node: a node writes exactly the

@@ -1,7 +1,9 @@
 """Serialization of term DAGs: let-text, s-expressions, DOT, and DIMACS CNF.
 
 All emitters are pure functions of a frozen DAG plus its system and produce
-byte-identical output on identical input.  The CNF emitter performs a
+byte-identical output on identical input.  Each reads the DAG's roots
+before it writes anything, so a DAG still being built is refused with the
+RuntimeError that ``TermDag.roots`` raises.  The CNF emitter performs a
 Tseitin encoding whose satisfiability, for a DAG that is a closed form of
 the least fixpoint, matches the existence of a parameter assignment giving
 the queried fixpoint coordinate the queried bit.
@@ -26,11 +28,6 @@ class TreeSizeLimitError(Exception):
         )
         self.tree_size = tree_size
         self.limit = limit
-
-
-def _check_frozen(dag: TermDag) -> None:
-    if not dag.frozen:
-        raise ValueError("emitters require a frozen DAG")
 
 
 def _topological(dag: TermDag) -> list[int]:
@@ -66,7 +63,6 @@ def to_let_text(dag: TermDag, system: System) -> str:
     Binders are named t0, t1, ... in topological order; bottom and top
     print as ``bot`` and ``top``.
     """
-    _check_frozen(dag)
     order = _topological(dag)
     binder = {BOTTOM: "bot", TOP: "top"}
     lines = []
@@ -91,24 +87,16 @@ def to_sexpr(
     beyond ``max_tree_size``.  A single-equation system prints its root
     alone; otherwise the roots form one parenthesized tuple.
     """
-    _check_frozen(dag)
     stats = dag_stats(dag)
     if stats.tree_size > max_tree_size:
         raise TreeSizeLimitError(stats.tree_size, max_tree_size)
-    rendered: dict[int, str] = {BOTTOM: "bot", TOP: "top"}
-
-    def render(tid: int) -> str:
-        got = rendered.get(tid)
-        if got is not None:
-            return got
+    rendered = {BOTTOM: "bot", TOP: "top"}
+    for tid in _topological(dag):
         node = dag.node(tid)
         assert isinstance(node, Apply)
-        parts = [system.var_names[node.func]] + [render(a) for _, a in node.args]
-        text = "(" + " ".join(parts) + ")"
-        rendered[tid] = text
-        return text
-
-    roots = [render(r) for r in dag.roots]
+        parts = [system.var_names[node.func]] + [rendered[a] for _, a in node.args]
+        rendered[tid] = "(" + " ".join(parts) + ")"
+    roots = [rendered[r] for r in dag.roots]
     if len(roots) == 1:
         return roots[0] + "\n"
     return "(" + " ".join(roots) + ")\n"
@@ -116,7 +104,6 @@ def to_sexpr(
 
 def to_dot(dag: TermDag, system: System) -> str:
     """DOT digraph: one node per reachable id, edges labeled by argument variable."""
-    _check_frozen(dag)
     lines = ["digraph bes {"]
     reach = dag.reachable()
     for tid in reach:
@@ -197,7 +184,6 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
     index, bit); the result is satisfiable exactly when some parameter
     assignment makes that root evaluate to that bit.
     """
-    _check_frozen(dag)
     qvar, qbit = query
     if not 0 <= qvar < system.n:
         raise ValueError("query variable out of range")

@@ -35,6 +35,7 @@ from .core import (
     ParamAssignment,
     System,
     Valuation,
+    _check_params,
     decode_param_slice,
     eval_formula,
     kleene_lfp,
@@ -64,8 +65,7 @@ class Counterexample:
 def _param_bits(system: System, params: ParamAssignment | None):
     """(bits, ones) for a single assignment or the packed all-assignments sweep."""
     if params is not None:
-        if len(params) != system.num_params:
-            raise ValueError("parameter assignment has the wrong length")
+        _check_params(system, params)
         return params, 1
     return param_masks(system.num_params)
 
@@ -114,6 +114,12 @@ def _pruned_term_values(
     }
     values = node_values(builder.dag, system, pbits, ones)
     return {key: values[tid] for key, tid in tids.items()}
+
+
+def _applied_plain(system: System, pbits: Sequence[int], ones: int) -> list[list[int]]:
+    """f_i at every plain iterate: ``applied[i][m]`` is f_i(x^m) for m = 0..n."""
+    plain = masked_iterates(system, frozenset(), system.n, pbits, ones)
+    return [[eval_formula(f, x, pbits, ones) for x in plain] for f in system.formulas]
 
 
 def check_equality(
@@ -174,12 +180,11 @@ def check_prune_le_iterate(
     n = system.n
     subs = [s for s in _subsets(system, subsets) if len(s) < n]
     values = _pruned_term_values(system, pbits, ones, subs)
-    plain = masked_iterates(system, frozenset(), n, pbits, ones)
+    applied = _applied_plain(system, pbits, ones)
     for masked in subs:
         m = n - len(masked) - 1
         for i in range(n):
-            rhs = eval_formula(system.formulas[i], plain[m], pbits, ones)
-            bad = values[(i, masked)] & ~rhs & ones
+            bad = values[(i, masked)] & ~applied[i][m] & ones
             if bad:
                 return Counterexample(
                     "prune_le_iterate",
@@ -199,11 +204,7 @@ def check_zero_prefix(
     """If an equation is 0 at iterate m, it is 0 at every iterate up to m."""
     pbits, ones = _param_bits(system, params)
     n = system.n
-    plain = masked_iterates(system, frozenset(), n, pbits, ones)
-    applied = [
-        [eval_formula(f, plain[m], pbits, ones) for m in range(n + 1)]
-        for f in system.formulas
-    ]
+    applied = _applied_plain(system, pbits, ones)
     for i in range(n):
         for m in range(n + 1):
             zero_at_m = ~applied[i][m] & ones

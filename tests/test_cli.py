@@ -97,6 +97,14 @@ class TestBuild:
         assert main(["build", str(path), "--form", "pruned", "--emit", "sexpr", "--gfp"]) == 0
         assert capsys.readouterr().out == "(x top)\n"
 
+    def test_deep_sexpr_is_rendered(self, tmp_path, capsys):
+        # 601 tree nodes, far under the size limit, but nested 600 deep
+        path = tmp_path / "x.bes"
+        path.write_text("x = x;\n")
+        argv = ["build", str(path), "--form", "expanded", "--depth", "600", "--emit", "sexpr"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "(x " * 600 + "bot" + ")" * 600 + "\n"
+
     def test_tree_size_refusal(self, tmp_path, capsys):
         path = tmp_path / "big.bes"
         path.write_text(
@@ -149,6 +157,51 @@ class TestVerify:
 
     def test_needs_input(self):
         assert main(["verify"]) == 3
+
+    @staticmethod
+    def _record_suites(monkeypatch):
+        """Replace every suite by a stand-in that records its arguments."""
+        from bes import props
+
+        calls = []
+
+        def recorder(name):
+            def check(system, params, subsets):
+                calls.append((name, system.n, params, subsets))
+                return None
+
+            return check
+
+        monkeypatch.setattr(props, "SUITES", {name: recorder(name) for name in props.SUITES})
+        return calls
+
+    @staticmethod
+    def _identity_file(tmp_path, n):
+        path = tmp_path / f"id{n}.bes"
+        path.write_text("".join(f"v{i} = v{i};\n" for i in range(n)))
+        return str(path)
+
+    def test_file_up_to_the_sweep_limit_is_swept(self, tmp_path, monkeypatch, capsys):
+        from bes import props
+
+        calls = self._record_suites(monkeypatch)
+        path = self._identity_file(tmp_path, 14)
+        assert main(["verify", path, "--trials", "3"]) == 0
+        assert [c[0] for c in calls] == list(props.SUITES)
+        assert all(c[1:] == (14, None, None) for c in calls)
+
+    def test_file_past_the_sweep_limit_is_sampled(self, tmp_path, monkeypatch, capsys):
+        calls = self._record_suites(monkeypatch)
+        path = self._identity_file(tmp_path, 15)
+        for trials, expected in (("7", 7), ("5000", 4096)):
+            calls.clear()
+            assert main(["verify", path, "--trials", trials, "--seed", "2"]) == 0
+            assert len(calls) == 8
+            for _, n, params, subsets in calls:
+                assert (n, params) == (15, None)
+                assert len(subsets) == expected
+                assert all(s <= frozenset(range(15)) for s in subsets)
+                assert subsets == calls[0][3]
 
     def test_random_max_n_outside_the_sweep_range(self, capsys):
         # 2**15 masked sets per system would run for minutes; refuse up front

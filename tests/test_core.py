@@ -137,6 +137,49 @@ class TestKleene:
             kleene_lfp(s)
 
 
+class TestParameterLength:
+    """A parameter tuple gives exactly one bit, or mask, per parameter."""
+
+    def entry_points(self, s, p, ones=1):
+        from bes.dag import build_expanded, build_pruned, eval_dag, node_values
+
+        return {
+            "kleene_lfp": lambda: kleene_lfp(s, p, ones),
+            "greatest_fixpoint": lambda: greatest_fixpoint(s, p),
+            "step": lambda: step(s, (0,) * s.n, p, ones),
+            "masked_iterates": lambda: masked_iterates(s, frozenset(), 2, p, ones),
+            "masked_iterates m=0": lambda: masked_iterates(s, frozenset(), 0, p, ones),
+            "node_values": lambda: node_values(build_pruned(s), s, p, ones),
+            "eval_dag": lambda: eval_dag(build_expanded(s), s, p, ones),
+        }
+
+    @pytest.mark.parametrize("p", [(), (1,), (1, 1, 1)])
+    def test_wrong_length_rejected(self, p):
+        s = parse_system("x = ?p & y; y = x | ?q;")
+        for call in self.entry_points(s, p).values():
+            with pytest.raises(ValueError, match="parameter bits"):
+                call()
+
+    def test_packed_masks_of_the_wrong_length_rejected(self):
+        s = parse_system("x = ?p & y; y = x | ?q;")
+        masks, ones = param_masks(2)
+        for p in (masks[:1], masks + masks[:1]):
+            for call in self.entry_points(s, p, ones).values():
+                with pytest.raises(ValueError, match="parameter bits"):
+                    call()
+        for call in self.entry_points(s, masks, ones).values():
+            call()
+
+    def test_parameter_free_system_takes_the_empty_tuple(self):
+        s = parse_system("x = y; y = x | 1;")
+        assert kleene_lfp(s) == ((1, 1), 2)
+        for call in self.entry_points(s, ()).values():
+            call()
+        for call in self.entry_points(s, (0,)).values():
+            with pytest.raises(ValueError, match="parameter bits"):
+                call()
+
+
 class NotFormula:
     """Stand-in node that is not part of the grammar."""
 

@@ -146,6 +146,23 @@ class TestPruned:
         s = parse_system("a = a | b; b = a & b; c = c | d; d = c & d;")
         assert len(build_pruned(s)) <= len(build_pruned_reference(s))
 
+    def test_key_restriction_saves_rebuilding(self, monkeypatch):
+        # along the line x0 = x1, ..., x29 = 1 each x_i is first reached with
+        # x0..x_{i-1} masked; restricted to the cone of x_i that mask is
+        # empty, so the later roots hit the memo instead of rebuilding
+        from bes.dag import TermDag
+
+        n = 30
+        s = parse_system(" ".join(f"x{i} = x{i + 1};" for i in range(n - 1)) + f" x{n - 1} = 1;")
+        calls = []
+        original = TermDag.apply
+        monkeypatch.setattr(
+            TermDag, "apply", lambda dag, func, args: calls.append(func) or original(dag, func, args)
+        )
+        assert len(build_pruned(s)) == n + 2 and len(calls) == n
+        calls.clear()
+        assert len(build_pruned_reference(s)) == n + 2 and len(calls) == n * (n + 1) // 2
+
     def test_memo_key_equivalence_exhaustive_n_le_4(self):
         # builders consult supports only, so checking structural equality of
         # the two builders' roots over every support pattern covers every
@@ -330,6 +347,50 @@ class TestFrozenDiscipline:
         dag = build_pruned(s)
         with pytest.raises(RuntimeError):
             dag.apply(0, ())
+
+    def test_freeze_takes_one_root_per_equation_once(self):
+        from bes.dag import TermDag
+
+        dag = TermDag(2)
+        tid = dag.apply(0, ((0, BOTTOM),))
+        for roots in ((), (tid,), (tid, tid, tid), (tid, tid + 1), (-1, tid)):
+            with pytest.raises(ValueError):
+                dag.freeze(roots)
+        assert dag.freeze((tid, BOTTOM)) is dag
+        assert dag.roots == (tid, BOTTOM)
+        with pytest.raises(RuntimeError):
+            dag.freeze((tid, BOTTOM))
+        assert dag.roots == (tid, BOTTOM)
+
+    def test_dag_under_construction_is_refused(self):
+        from bes.dag import TermDag
+        from bes.emit import to_cnf, to_dot, to_let_text, to_sexpr
+
+        s = parse_system("x = x;")
+        dag = TermDag(1)
+        dag.apply(0, ((0, BOTTOM),))
+        with pytest.raises(RuntimeError):
+            dag.roots
+        for emit in (to_let_text, to_sexpr, to_dot):
+            with pytest.raises(RuntimeError):
+                emit(dag, s)
+        with pytest.raises(RuntimeError):
+            to_cnf(dag, s, (0, 1))
+
+    def test_equal_applications_share_one_node(self):
+        from bes.dag import TermDag
+
+        dag = TermDag(2)
+        inner = dag.apply(1, ((0, BOTTOM), (1, TOP)))
+        args = ((0, inner), (1, BOTTOM))
+        tid = dag.apply(0, args)
+        assert dag.apply(0, args) == tid
+        assert dag.apply(0, tuple(list(args))) == tid
+        assert dag.apply(1, ((0, BOTTOM), (1, TOP))) == inner
+        assert len(dag) == 4
+        assert dag.node(tid) == Apply(0, args)
+        assert dag.node(tid).func == 0 and dag.node(tid).args == args
+        assert isinstance(dag.node(tid), Apply)
 
     def test_arity_mismatch_rejected(self):
         a = parse_system("x = x;")
