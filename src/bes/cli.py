@@ -16,6 +16,7 @@ from . import props
 from .core import ParamAssignment, System, greatest_fixpoint, kleene_lfp
 from .dag import TermDag, build_expanded, build_pruned, dag_stats, with_top_leaves
 from .emit import (
+    DEFAULT_TREE_SIZE_LIMIT,
     TreeSizeLimitError,
     to_cnf,
     to_dot,
@@ -264,7 +265,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", choices=("let", "sexpr", "dot", "dimacs"), required=True)
     p.add_argument("--query", help="var=bit assertion for dimacs output")
     p.add_argument("--gfp", action="store_true")
-    p.add_argument("--max-tree-size", type=int, default=1_000_000)
+    p.add_argument("--max-tree-size", type=int, default=DEFAULT_TREE_SIZE_LIMIT)
     p.add_argument("-o", "--out")
     p.set_defaults(fn=_cmd_build)
 

@@ -26,7 +26,7 @@ Valuation = tuple[int, ...]        # one bit per state variable
 ParamAssignment = tuple[int, ...]  # one bit per parameter
 IndexSet = frozenset[int]          # set of variable indices
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a name; the text tokenizer uses it too
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class System:
         if len(set(names)) != len(names):
             raise ValueError("variable and parameter names must be distinct")
         for name in names:
-            if not _IDENT_RE.match(name):
+            if not _IDENT_RE.fullmatch(name):
                 raise ValueError(f"invalid identifier: {name!r}")
         num_params = len(self.param_names)
         for i, f in enumerate(self.formulas):

@@ -4,15 +4,17 @@ One equation per line, ``name = expr ;``.  Declaration order fixes variable
 indices.  Expressions use ``|`` and ``&`` (with ``&`` binding tighter),
 constants ``0`` and ``1``, parentheses, and parameters written ``?name`` or
 negated ``!?name``; parameter indices follow first occurrence in text
-order.  ``#`` starts a comment running to end of line.  Plain identifiers
-must be declared by some equation; there are no implicit variables.
+order.  Names are ASCII: a letter or ``_``, then letters, digits or ``_``.
+``#`` starts a comment running to end of line.  Plain identifiers must be
+declared by some equation; there are no implicit variables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
-from .core import And, Const, Formula, Or, Param, System, Var
+from .core import _IDENT_RE, And, Const, Formula, Or, Param, System, Var
 
 
 class BesParseError(Exception):
@@ -25,129 +27,113 @@ class BesParseError(Exception):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT CONST PUNCT END
     text: str
     line: int
     col: int
 
 
+# One alternative per lexical class; the group that matched names it.  A 0 or
+# 1 followed by a letter or digit is malformed, but ``0_x`` is 0 then ``_x``.
+_TOKEN_RE = re.compile(
+    rf"(?P<NEWLINE>\n)|(?P<BLANK>[ \t\r]+)|(?P<COMMENT>#[^\n]*)|(?P<IDENT>{_IDENT_RE.pattern})"
+    r"|(?P<MALFORMED>[01][A-Za-z0-9])|(?P<CONST>[01])|(?P<PUNCT>[=;&|()?!])|(?P<UNEXPECTED>.)"
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c.isalpha() or c == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("IDENT", text[start:i], line, col))
-            col += i - start
-        elif c in "01":
-            if i + 1 < len(text) and text[i + 1].isalnum():
-                raise BesParseError("malformed constant", line, col)
-            tokens.append(_Token("CONST", c, line, col))
-            col += 1
-            i += 1
-        elif c in "=;&|()?!":
-            tokens.append(_Token("PUNCT", c, line, col))
-            col += 1
-            i += 1
-        else:
-            raise BesParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("END", "", line, col))
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "BLANK" or kind == "COMMENT":
+            continue
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+            continue
+        col = m.start() - line_start + 1
+        if kind == "MALFORMED":
+            raise BesParseError("malformed constant", line, col)
+        if kind == "UNEXPECTED":
+            raise BesParseError(f"unexpected character {m.group()!r}", line, col)
+        tokens.append(_Token(kind, m.group(), line, col))
+    # a comment does not advance the column, so END may sit at its '#'
+    end = m.start() if m and m.lastgroup == "COMMENT" else len(text)
+    tokens.append(_Token("END", "", line, end - line_start + 1))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], var_index: dict[str, int]):
-        self.tokens = tokens
-        self.pos = 0
-        self.var_index = var_index
-        self.param_index: dict[str, int] = {}
+def _expected(what: str, tok: _Token) -> BesParseError:
+    found = repr(tok.text) if tok.text else "end of input"
+    return BesParseError(f"expected {what}, found {found}", tok.line, tok.col)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _parse_formula(
+    body: list[_Token], var_index: dict[str, int], param_index: dict[str, int]
+) -> Formula:
+    """Parse one right-hand side; ``body`` ends in an END token.
 
-    def expect(self, text: str) -> _Token:
-        tok = self.take()
-        if tok.text != text or tok.kind == "END":
-            found = repr(tok.text) if tok.text else "end of input"
-            raise BesParseError(f"expected {text!r}, found {found}", tok.line, tok.col)
-        return tok
-
-    def parse_expr(self) -> Formula:
-        f = self.parse_term()
-        while self.peek().text == "|":
-            self.take()
-            f = Or(f, self.parse_term())
-        return f
-
-    def parse_term(self) -> Formula:
-        f = self.parse_factor()
-        while self.peek().text == "&":
-            self.take()
-            f = And(f, self.parse_factor())
-        return f
-
-    def parse_factor(self) -> Formula:
-        tok = self.take()
+    An operator-precedence loop with no recursion: ``disj`` and ``conj`` are
+    the disjunction and the conjunction built so far (None before their first
+    operand), and ``stack`` saves that pair at each open parenthesis.  Both
+    operators associate to the left, and ``&`` binds tighter than ``|``.
+    New parameter names are added to ``param_index`` in order of occurrence.
+    """
+    stack: list[tuple[Formula | None, Formula | None]] = []
+    disj: Formula | None = None
+    conj: Formula | None = None
+    tokens = iter(body)
+    for tok in tokens:  # an operand is due
+        if tok.text == "(":
+            stack.append((disj, conj))
+            disj = conj = None
+            continue
         if tok.kind == "CONST":
-            return Const(int(tok.text))
-        if tok.kind == "IDENT":
-            idx = self.var_index.get(tok.text)
+            f = Const(int(tok.text))
+        elif tok.kind == "IDENT":
+            idx = var_index.get(tok.text)
             if idx is None:
                 raise BesParseError(
                     f"undeclared identifier {tok.text!r}", tok.line, tok.col, "semantic"
                 )
-            return Var(idx)
-        if tok.text == "(":
-            f = self.parse_expr()
-            self.expect(")")
-            return f
-        if tok.text == "!":
-            self.expect("?")
-            return Param(self.parse_param_name(), negated=True)
-        if tok.text == "?":
-            return Param(self.parse_param_name())
-        found = repr(tok.text) if tok.text else "end of input"
-        raise BesParseError(
-            f"expected a constant, identifier, parameter, or '(', found {found}",
-            tok.line,
-            tok.col,
-        )
-
-    def parse_param_name(self) -> int:
-        tok = self.take()
-        if tok.kind != "IDENT":
-            raise BesParseError("expected a parameter name after '?'", tok.line, tok.col)
-        if tok.text in self.var_index:
-            raise BesParseError(
-                f"{tok.text!r} is a variable and cannot also be a parameter",
-                tok.line,
-                tok.col,
-                "semantic",
-            )
-        if tok.text not in self.param_index:
-            self.param_index[tok.text] = len(self.param_index)
-        return self.param_index[tok.text]
+            f = Var(idx)
+        elif tok.text in ("?", "!"):
+            negated = tok.text == "!"
+            tok = next(tokens)
+            if negated:
+                if tok.text != "?":
+                    raise _expected("'?'", tok)
+                tok = next(tokens)
+            if tok.kind != "IDENT":
+                raise BesParseError("expected a parameter name after '?'", tok.line, tok.col)
+            if tok.text in var_index:
+                raise BesParseError(
+                    f"{tok.text!r} is a variable and cannot also be a parameter",
+                    tok.line,
+                    tok.col,
+                    "semantic",
+                )
+            f = Param(param_index.setdefault(tok.text, len(param_index)), negated)
+        else:
+            raise _expected("a constant, identifier, parameter, or '('", tok)
+        conj = f if conj is None else And(conj, f)
+        for tok in tokens:  # an operator, a ')' or the end is due
+            if tok.text == "&":
+                break
+            if tok.text == "|":
+                disj, conj = (conj if disj is None else Or(disj, conj)), None
+                break
+            f = conj if disj is None else Or(disj, conj)
+            if not stack:
+                if tok.kind == "END":
+                    return f
+                raise BesParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+            if tok.text != ")":
+                raise _expected("')'", tok)
+            disj, conj = stack.pop()
+            conj = f if conj is None else And(conj, f)
 
 
 def parse_system(text: str) -> System:
@@ -157,27 +143,25 @@ def parse_system(text: str) -> System:
     undeclared identifiers, or an empty system.
     """
     tokens = _tokenize(text)
-    # Split into equations at top-level semicolons and collect declarations
-    # first, so equations may reference variables defined later in the file.
+    # Split into equations at semicolons and declare every name before parsing
+    # a body, so equations may reference variables defined later in the file.
     equations: list[tuple[_Token, list[_Token]]] = []
     i = 0
     while tokens[i].kind != "END":
-        head = tokens[i]
+        head, eq = tokens[i], tokens[i + 1]
         if head.kind != "IDENT":
             raise BesParseError("expected an equation name", head.line, head.col)
-        eq = tokens[i + 1]
         if eq.text != "=":
             raise BesParseError("expected '=' after the equation name", eq.line, eq.col)
         j = i + 2
-        body: list[_Token] = []
         while tokens[j].kind != "END" and tokens[j].text != ";":
-            body.append(tokens[j])
             j += 1
         if tokens[j].kind == "END":
             raise BesParseError("missing ';' at end of equation", tokens[j].line, tokens[j].col)
-        if not body:
+        if j == i + 2:
             raise BesParseError("empty right-hand side", tokens[j].line, tokens[j].col)
-        equations.append((head, body))
+        last = tokens[j - 1]
+        equations.append((head, tokens[i + 2 : j] + [_Token("END", "", last.line, last.col + 1)]))
         i = j + 1
     if not equations:
         raise BesParseError("empty system", 1, 1, "semantic")
@@ -190,22 +174,9 @@ def parse_system(text: str) -> System:
             )
         var_index[head.text] = len(var_index)
 
-    formulas = []
     param_index: dict[str, int] = {}
-    for _, body in equations:
-        parser = _Parser(body + [_Token("END", "", body[-1].line, body[-1].col + 1)], var_index)
-        parser.param_index = param_index
-        f = parser.parse_expr()
-        trailing = parser.peek()
-        if trailing.kind != "END":
-            raise BesParseError(f"unexpected {trailing.text!r}", trailing.line, trailing.col)
-        formulas.append(f)
-
-    return System(
-        tuple(formulas),
-        tuple(var_index),
-        tuple(param_index),
-    )
+    formulas = tuple(_parse_formula(body, var_index, param_index) for _, body in equations)
+    return System(formulas, tuple(var_index), tuple(param_index))
 
 
 def _format_formula(f: Formula, system: System) -> str:

@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from bes.cli import main
+from bes.cli import _make_parser, main
+from bes.emit import DEFAULT_TREE_SIZE_LIMIT
 from bes.text import parse_system
 
 EXAMPLE = "a = 1; b = a & c; c = b | a;\n"
@@ -50,6 +51,18 @@ class TestSolve:
         semantic = tmp_path / "sem.bes"
         semantic.write_text("x = y;\n")
         assert main(["solve", str(semantic)]) == 3
+
+    def test_non_ascii_name_is_a_syntax_error(self, tmp_path, capsys):
+        path = tmp_path / "u.bes"
+        path.write_text("é = 1;\n", encoding="utf-8")
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == "error: 1:1: unexpected character 'é'\n"
+
+    def test_deep_nesting_is_solved(self, tmp_path, capsys):
+        path = tmp_path / "nested.bes"
+        path.write_text("x = " + "(" * 5000 + "x" + ")" * 5000 + ";\n")
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("(0)\n")
 
     def test_deep_recursion_is_a_clean_error(self, tmp_path, capsys):
         # 3000 disjuncts parse into a left-deep chain that evaluation recurses through
@@ -104,6 +117,10 @@ class TestBuild:
         argv = ["build", str(path), "--form", "expanded", "--depth", "600", "--emit", "sexpr"]
         assert main(argv) == 0
         assert capsys.readouterr().out == "(x " * 600 + "bot" + ")" * 600 + "\n"
+
+    def test_max_tree_size_default(self):
+        args = _make_parser().parse_args(["build", "f.bes", "--form", "pruned", "--emit", "sexpr"])
+        assert args.max_tree_size == DEFAULT_TREE_SIZE_LIMIT
 
     def test_tree_size_refusal(self, tmp_path, capsys):
         path = tmp_path / "big.bes"

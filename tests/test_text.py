@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +38,16 @@ class TestParse:
     def test_forward_reference(self):
         s = parse_system("a = b; b = 1;")
         assert s.formulas[0] == Var(1)
+
+    def test_left_deep_shape(self):
+        s = parse_system("a = a & b | c & d | e; b = 1; c = 1; d = 1; e = 1;")
+        a, b, c, d, e = (Var(i) for i in range(5))
+        assert s.formulas[0] == Or(Or(And(a, b), And(c, d)), e)
+
+    def test_deep_nesting(self):
+        depth = 5000
+        s = parse_system("x = " + "(" * depth + "x" + ")" * depth + ";")
+        assert s.formulas == (Var(0),)
 
 
 class TestParseErrors:
@@ -80,6 +92,98 @@ class TestParseErrors:
         with pytest.raises(BesParseError) as err:
             parse_system("x = 1 1;")
         assert (err.value.line, err.value.col) == (1, 7)
+
+
+# At least one input per raise site in text.py: (text, str(err), line, col, kind).
+ERROR_TABLE = [
+    ("x = 01;", "1:5: malformed constant", 1, 5, "syntax"),
+    ("x = $;", "1:5: unexpected character '$'", 1, 5, "syntax"),
+    ("= 1;", "1:1: expected an equation name", 1, 1, "syntax"),
+    ("x 1;", "1:3: expected '=' after the equation name", 1, 3, "syntax"),
+    ("x = 1", "1:6: missing ';' at end of equation", 1, 6, "syntax"),
+    ("x = 1 # note", "1:7: missing ';' at end of equation", 1, 7, "syntax"),
+    ("x = ;", "1:5: empty right-hand side", 1, 5, "syntax"),
+    ("# nothing\n", "1:1: empty system", 1, 1, "semantic"),
+    ("x = 1;\nx = 0;", "2:1: duplicate definition of 'x'", 2, 1, "semantic"),
+    ("x = y;", "1:5: undeclared identifier 'y'", 1, 5, "semantic"),
+    ("x = ?x;", "1:6: 'x' is a variable and cannot also be a parameter", 1, 6, "semantic"),
+    ("x = !y;", "1:6: expected '?', found 'y'", 1, 6, "syntax"),
+    ("x = ?1;", "1:6: expected a parameter name after '?'", 1, 6, "syntax"),
+    ("x = !?;", "1:7: expected a parameter name after '?'", 1, 7, "syntax"),
+    (
+        "x = 1 & |;",
+        "1:9: expected a constant, identifier, parameter, or '(', found '|'",
+        1, 9, "syntax",
+    ),
+    # a body's end of input sits just after its last token, not at the ';'
+    (
+        "x = 1 &\n;",
+        "1:8: expected a constant, identifier, parameter, or '(', found end of input",
+        1, 8, "syntax",
+    ),
+    ("x = (1 1);", "1:8: expected ')', found '1'", 1, 8, "syntax"),
+    ("x = (1 ;", "1:7: expected ')', found end of input", 1, 7, "syntax"),
+    ("x = 1 1;", "1:7: unexpected '1'", 1, 7, "syntax"),
+    ("x = 1);", "1:6: unexpected ')'", 1, 6, "syntax"),
+    ("x = 0_x;", "1:6: unexpected '_x'", 1, 6, "syntax"),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col, kind", ERROR_TABLE)
+def test_error_table(text, message, line, col, kind):
+    with pytest.raises(BesParseError) as err:
+        parse_system(text)
+    assert (str(err.value), err.value.line, err.value.col, err.value.kind) == (
+        message, line, col, kind
+    )
+
+
+def test_names_are_ascii():
+    with pytest.raises(BesParseError) as err:
+        parse_system("é = 1;")
+    assert (str(err.value), err.value.kind) == ("1:1: unexpected character 'é'", "syntax")
+    with pytest.raises(BesParseError) as err:
+        parse_system("x = xé;")
+    assert str(err.value) == "1:6: unexpected character 'é'"
+
+
+_FUZZ_OPERANDS = ["x", "y", "_z", "x1", "?p", "!?q", "0", "1", "(x)", "(y | 0)"]
+_FUZZ_NOISE = [
+    "?", "!", "01", "0_x", "1b", "(", ")", "&", "|", "=", ";", " ", "\n", "\t", "\r",
+    "# c\n", "#", "$", "2",
+]
+
+
+def _fuzz_text(rng: random.Random) -> str:
+    """Equations over x, y and _z whose bodies mix operands, operators and noise."""
+    pieces = []
+    for name in rng.sample(["x", "y", "_z"], rng.randint(1, 3)):
+        pieces.append(f"{name} = ")
+        for k in range(rng.randint(1, 6)):
+            if k:
+                pieces.append(rng.choice([" & ", " | ", "&", "|\n"]))
+            pieces.append(rng.choice(_FUZZ_OPERANDS))
+        pieces.append(rng.choice([";", ";\n", "; # c\n"]))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        pos = rng.randrange(len(pieces) + 1)
+        pieces.insert(pos, rng.choice(_FUZZ_NOISE + _FUZZ_OPERANDS))
+    return "".join(pieces)
+
+
+def test_seeded_front_end_fuzz():
+    # Every input either fails with a positioned BesParseError or round-trips
+    # through the printer; any other exception fails the test.
+    rng = random.Random(20041)
+    accepted = 0
+    for _ in range(5000):
+        text = _fuzz_text(rng)
+        try:
+            s = parse_system(text)
+        except BesParseError:
+            continue
+        accepted += 1
+        assert parse_system(format_system(s)) == s, text
+    assert 500 < accepted < 4500
 
 
 class TestRoundTrip:
