@@ -164,6 +164,8 @@ def _dump_counterexample(cex: props.Counterexample) -> str:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise SemanticError(f"--trials={args.trials} checks nothing; give at least 1")
     failures: list[props.Counterexample] = []
     if args.random:
         tallies = props.run_random_battery(args.trials, args.seed, args.max_n)

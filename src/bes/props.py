@@ -1,10 +1,13 @@
 """Executable property suites behind the ``verify`` command.
 
-Each check returns None on success or a Counterexample describing the
-failing system, parameter assignment, and coordinate.  Checks accept an
-explicit parameter assignment or, with ``params=None``, sweep every
-assignment at once using packed bitmasks (one bit per assignment), so a
-single pass covers all 2**P parameter choices.
+Each suite is called as ``SUITES[name](system, params=None, subsets=None)``.
+It returns None on success, or a Counterexample for its first failing
+comparison: the system, a parameter assignment, and the coordinate.  Given
+an explicit assignment it checks that one; with ``params=None`` it sweeps
+every assignment at once using packed bitmasks (one bit per assignment), so
+a single pass covers all 2**P parameter choices, and it reports the lowest
+failing assignment.  ``subsets`` samples the masked sets of the suites that
+range over them; by default a system of up to 14 equations has all swept.
 
 The suites:
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     Const,
@@ -60,24 +63,6 @@ class Counterexample:
     system: System
     params: ParamAssignment
     detail: str
-
-
-def _param_bits(system: System, params: ParamAssignment | None):
-    """(bits, ones) for a single assignment or the packed all-assignments sweep."""
-    if params is not None:
-        _check_params(system, params)
-        return params, 1
-    return param_masks(system.num_params)
-
-
-def _bad_slice(bad_mask: int) -> int:
-    return (bad_mask & -bad_mask).bit_length() - 1
-
-
-def _decode(system: System, params: ParamAssignment | None, bad_mask: int) -> ParamAssignment:
-    if params is not None:
-        return params
-    return decode_param_slice(system.num_params, _bad_slice(bad_mask))
 
 
 # Largest n whose 2**n masked sets are swept exhaustively.
@@ -122,61 +107,36 @@ def _applied_plain(system: System, pbits: Sequence[int], ones: int) -> list[list
     return [[eval_formula(f, x, pbits, ones) for x in plain] for f in system.formulas]
 
 
-def check_equality(
-    system: System,
-    params: ParamAssignment | None = None,
-    subsets: Iterable[IndexSet] | None = None,
-) -> Counterexample | None:
+def _equality(system, pbits, ones, subsets):
     """Both closed forms evaluate to the iterated least fixpoint, bit for bit."""
-    pbits, ones = _param_bits(system, params)
     iterated, _ = kleene_lfp(system, pbits, ones)
     pruned = eval_dag(build_pruned(system), system, pbits, ones)
     expanded = eval_dag(build_expanded(system), system, pbits, ones)
     for i in range(system.n):
         bad = (iterated[i] ^ pruned[i]) | (iterated[i] ^ expanded[i])
         if bad:
-            return Counterexample(
-                "equality",
-                system,
-                _decode(system, params, bad),
+            yield bad, (
                 f"coordinate {system.var_names[i]}: iterated={bool(iterated[i] & bad)} "
-                f"pruned={bool(pruned[i] & bad)} expanded={bool(expanded[i] & bad)}",
+                f"pruned={bool(pruned[i] & bad)} expanded={bool(expanded[i] & bad)}"
             )
-    return None
 
 
-def check_pruned_le_expanded(
-    system: System,
-    params: ParamAssignment | None = None,
-    subsets: Iterable[IndexSet] | None = None,
-) -> Counterexample | None:
+def _pruned_le_expanded(system, pbits, ones, subsets):
     """The pruned value never exceeds the expanded value, coordinatewise."""
-    pbits, ones = _param_bits(system, params)
     pruned = eval_dag(build_pruned(system), system, pbits, ones)
     expanded = eval_dag(build_expanded(system), system, pbits, ones)
     for i in range(system.n):
         bad = pruned[i] & ~expanded[i] & ones
         if bad:
-            return Counterexample(
-                "pruned_le_expanded",
-                system,
-                _decode(system, params, bad),
-                f"coordinate {system.var_names[i]}: pruned=1 but expanded=0",
-            )
-    return None
+            yield bad, f"coordinate {system.var_names[i]}: pruned=1 but expanded=0"
 
 
-def check_prune_le_iterate(
-    system: System,
-    params: ParamAssignment | None = None,
-    subsets: Iterable[IndexSet] | None = None,
-) -> Counterexample | None:
+def _prune_le_iterate(system, pbits, ones, subsets):
     """Masked pruned terms are bounded by the equation at a late plain iterate.
 
     For every proper masked set S and equation i, the pruned subterm for
     (S, i) is at most f_i applied to the (n - |S| - 1)-th plain iterate.
     """
-    pbits, ones = _param_bits(system, params)
     n = system.n
     subs = [s for s in _subsets(system, subsets) if len(s) < n]
     values = _pruned_term_values(system, pbits, ones, subs)
@@ -186,23 +146,14 @@ def check_prune_le_iterate(
         for i in range(n):
             bad = values[(i, masked)] & ~applied[i][m] & ones
             if bad:
-                return Counterexample(
-                    "prune_le_iterate",
-                    system,
-                    _decode(system, params, bad),
+                yield bad, (
                     f"masked={sorted(masked)} equation={system.var_names[i]}: "
-                    f"pruned term exceeds iterate bound at m={m}",
+                    f"pruned term exceeds iterate bound at m={m}"
                 )
-    return None
 
 
-def check_zero_prefix(
-    system: System,
-    params: ParamAssignment | None = None,
-    subsets: Iterable[IndexSet] | None = None,
-) -> Counterexample | None:
+def _zero_prefix(system, pbits, ones, subsets):
     """If an equation is 0 at iterate m, it is 0 at every iterate up to m."""
-    pbits, ones = _param_bits(system, params)
     n = system.n
     applied = _applied_plain(system, pbits, ones)
     for i in range(n):
@@ -211,27 +162,18 @@ def check_zero_prefix(
             for earlier in range(m):
                 bad = applied[i][earlier] & zero_at_m
                 if bad:
-                    return Counterexample(
-                        "zero_prefix",
-                        system,
-                        _decode(system, params, bad),
+                    yield bad, (
                         f"equation {system.var_names[i]}: 0 at iterate {m} "
-                        f"but 1 at iterate {earlier}",
+                        f"but 1 at iterate {earlier}"
                     )
-    return None
 
 
-def check_masking_preserves_iterates(
-    system: System,
-    params: ParamAssignment | None = None,
-    subsets: Iterable[IndexSet] | None = None,
-) -> Counterexample | None:
+def _masking_preserves_iterates(system, pbits, ones, subsets):
     """Pinning a dead equation to 0 leaves earlier masked iterates unchanged.
 
     If f_i evaluates to 0 at the m-th iterate masked by S, then masking
     S and masking S + {i} produce identical iterates up to m.
     """
-    pbits, ones = _param_bits(system, params)
     n = system.n
     iterates: dict[IndexSet, list[Valuation]] = {}
 
@@ -259,27 +201,18 @@ def check_masking_preserves_iterates(
                     for j in range(n):
                         bad = (base[p][j] ^ pinned[p][j]) & dead
                         if bad:
-                            return Counterexample(
-                                "masking_preserves_iterates",
-                                system,
-                                _decode(system, params, bad),
+                            yield bad, (
                                 f"masked={sorted(masked)} pinned={system.var_names[i]}: "
-                                f"iterate {p} differs at {system.var_names[j]} (m={m})",
+                                f"iterate {p} differs at {system.var_names[j]} (m={m})"
                             )
-    return None
 
 
-def check_masked_le_pruned(
-    system: System,
-    params: ParamAssignment | None = None,
-    subsets: Iterable[IndexSet] | None = None,
-) -> Counterexample | None:
+def _masked_le_pruned(system, pbits, ones, subsets):
     """An equation applied to a masked iterate never exceeds its pruned term.
 
     For every masked set S, equation i outside S, and 0 <= m <= n - |S|,
     f_i at the m-th S-masked iterate is at most the pruned (S, i) term.
     """
-    pbits, ones = _param_bits(system, params)
     n = system.n
     subs = _subsets(system, subsets)
     values = _pruned_term_values(system, pbits, ones, subs)
@@ -293,23 +226,14 @@ def check_masked_le_pruned(
                 lhs = eval_formula(system.formulas[i], masked_iter[m], pbits, ones)
                 bad = lhs & ~values[(i, masked)] & ones
                 if bad:
-                    return Counterexample(
-                        "masked_le_pruned",
-                        system,
-                        _decode(system, params, bad),
+                    yield bad, (
                         f"masked={sorted(masked)} equation={system.var_names[i]} m={m}: "
-                        f"masked application exceeds the pruned term",
+                        f"masked application exceeds the pruned term"
                     )
-    return None
 
 
-def check_self_substitution(
-    system: System,
-    params: ParamAssignment | None = None,
-    subsets: Iterable[IndexSet] | None = None,
-) -> Counterexample | None:
+def _self_substitution(system, pbits, ones, subsets):
     """Replacing x_i by 0 inside its own equation preserves the least fixpoint."""
-    pbits, ones = _param_bits(system, params)
     base, _ = kleene_lfp(system, pbits, ones)
     for i in range(system.n):
         formulas = list(system.formulas)
@@ -319,48 +243,64 @@ def check_self_substitution(
         for j in range(system.n):
             bad = (base[j] ^ other[j]) & ones
             if bad:
-                return Counterexample(
-                    "self_substitution",
-                    system,
-                    _decode(system, params, bad),
+                yield bad, (
                     f"zeroing {system.var_names[i]} inside its own equation "
-                    f"changed the fixpoint at {system.var_names[j]}",
+                    f"changed the fixpoint at {system.var_names[j]}"
                 )
-    return None
 
 
-def check_memo_keys(
-    system: System,
-    params: ParamAssignment | None = None,
-    subsets: Iterable[IndexSet] | None = None,
-) -> Counterexample | None:
+def _memo_keys(system, pbits, ones, subsets):
     """Restricted-key and full-key pruned builders evaluate identically."""
-    pbits, ones = _param_bits(system, params)
     canonical = eval_dag(build_pruned(system), system, pbits, ones)
     reference = eval_dag(build_pruned_reference(system), system, pbits, ones)
     for i in range(system.n):
         bad = (canonical[i] ^ reference[i]) & ones
         if bad:
-            return Counterexample(
-                "memo_keys",
-                system,
-                _decode(system, params, bad),
-                f"builders disagree at {system.var_names[i]}",
-            )
-    return None
+            yield bad, f"builders disagree at {system.var_names[i]}"
 
 
 Check = Callable[..., Counterexample | None]
 
+
+def _suite(name: str, violations: Callable[..., Iterator[tuple[int, str]]]) -> Check:
+    """The check that reports the first of ``violations`` as a Counterexample.
+
+    ``violations(system, pbits, ones, subsets)`` yields ``(bad, detail)`` for
+    each failing comparison, ``bad`` holding one bit per failing parameter
+    slice; the lowest slice is decoded when every assignment is swept.
+    """
+
+    def check(
+        system: System,
+        params: ParamAssignment | None = None,
+        subsets: Iterable[IndexSet] | None = None,
+    ) -> Counterexample | None:
+        if params is None:
+            pbits, ones = param_masks(system.num_params)
+        else:
+            _check_params(system, params)
+            pbits, ones = params, 1
+        for bad, detail in violations(system, pbits, ones, subsets):
+            if params is None:
+                params = decode_param_slice(system.num_params, (bad & -bad).bit_length() - 1)
+            return Counterexample(name, system, params, detail)
+        return None
+
+    return check
+
+
 SUITES: dict[str, Check] = {
-    "equality": check_equality,
-    "pruned_le_expanded": check_pruned_le_expanded,
-    "prune_le_iterate": check_prune_le_iterate,
-    "zero_prefix": check_zero_prefix,
-    "masking_preserves_iterates": check_masking_preserves_iterates,
-    "masked_le_pruned": check_masked_le_pruned,
-    "self_substitution": check_self_substitution,
-    "memo_keys": check_memo_keys,
+    v.__name__[1:]: _suite(v.__name__[1:], v)
+    for v in (
+        _equality,
+        _pruned_le_expanded,
+        _prune_le_iterate,
+        _zero_prefix,
+        _masking_preserves_iterates,
+        _masked_le_pruned,
+        _self_substitution,
+        _memo_keys,
+    )
 }
 
 

@@ -161,7 +161,8 @@ def parse_system(text: str) -> System:
         if j == i + 2:
             raise BesParseError("empty right-hand side", tokens[j].line, tokens[j].col)
         last = tokens[j - 1]
-        equations.append((head, tokens[i + 2 : j] + [_Token("END", "", last.line, last.col + 1)]))
+        end = _Token("END", "", last.line, last.col + len(last.text))
+        equations.append((head, tokens[i + 2 : j] + [end]))
         i = j + 1
     if not equations:
         raise BesParseError("empty system", 1, 1, "semantic")

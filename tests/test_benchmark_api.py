@@ -58,6 +58,14 @@ def test_emitters():
     assert bes.emit.write_dimacs(cnf).startswith("c map ")
 
 
+def test_suite_names():
+    # each name is also the per-layer metric ``props.<name>.s``
+    assert list(bes.props.SUITES) == [
+        "equality", "pruned_le_expanded", "prune_le_iterate", "zero_prefix",
+        "masking_preserves_iterates", "masked_le_pruned", "self_substitution", "memo_keys",
+    ]
+
+
 def test_suites_take_a_subset_sample():
     s = bes.gen.gen_random_monotone(3, 2, 4, 7)
     subsets = [frozenset(i for i in range(3) if (m >> i) & 1) for m in range(8)]

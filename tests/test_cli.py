@@ -228,6 +228,17 @@ class TestVerify:
             assert captured.out == ""
             assert captured.err.startswith("error: max_n=") and captured.err.count("\n") == 1
 
+    def test_trials_below_one_are_refused(self, tmp_path, capsys):
+        # zero trials would print 0/0, or pass a 15-variable file on no masked set
+        path = self._identity_file(tmp_path, 15)
+        for source in (["--random"], [path]):
+            for trials in ("0", "-3"):
+                assert main(["verify", *source, "--trials", trials]) == 3
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("error: --trials=")
+                assert captured.err.count("\n") == 1
+
 
 class TestGen:
     def test_chain(self, capsys):

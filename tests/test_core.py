@@ -466,12 +466,7 @@ DEFINED = {
         "build_pruned", "build_pruned_reference", "dag_stats", "eval_dag",
         "node_values", "with_top_leaves",
     },
-    "props": {
-        "Counterexample", "SuiteTally", "check_equality", "check_masked_le_pruned",
-        "check_masking_preserves_iterates", "check_memo_keys", "check_prune_le_iterate",
-        "check_pruned_le_expanded", "check_self_substitution", "check_zero_prefix",
-        "run_random_battery",
-    },
+    "props": {"Counterexample", "SuiteTally", "run_random_battery"},
 }
 
 

@@ -14,7 +14,7 @@ from bes.dag import (
     with_top_leaves,
 )
 from bes.gen import FamilySpec, gen_family, gen_random_monotone
-from bes.props import check_equality
+from bes.props import SUITES
 from bes.text import parse_system
 
 
@@ -311,13 +311,13 @@ class TestRootUnrolling:
 class TestVerifyClosedForms:
     def test_identity(self):
         s = parse_system("x = x;")
-        assert check_equality(s, ()) is None
+        assert SUITES["equality"](s, ()) is None
         assert kleene_lfp(s)[0] == eval_dag(build_pruned(s), s) == eval_dag(build_expanded(s), s)
         assert kleene_lfp(s)[0] == (0,)
 
     def test_example_system(self):
         s = parse_system("a = 1; b = a & c; c = b | a;")
-        assert check_equality(s, ()) is None
+        assert SUITES["equality"](s, ()) is None
         assert kleene_lfp(s) == ((1, 1, 1), 3)
 
     def test_all_two_variable_instantiations(self):
@@ -326,16 +326,16 @@ class TestVerifyClosedForms:
         for fx in pool:
             for fy in pool:
                 s = parse_system(f"x = {fx}; y = {fy};")
-                assert check_equality(s, ()) is None
+                assert SUITES["equality"](s, ()) is None
 
     def test_mismatch_reporting_shape(self, monkeypatch):
         from bes import props
 
         s = parse_system("x = 1;")
-        assert check_equality(s, ()) is None
+        assert SUITES["equality"](s, ()) is None
         # a zero-depth unrolling stands in for a broken expanded builder
         monkeypatch.setattr(props, "build_expanded", lambda system: build_expanded(system, 0))
-        cex = check_equality(s, ())
+        cex = SUITES["equality"](s, ())
         assert cex == props.Counterexample(
             "equality", s, (), "coordinate x: iterated=True pruned=True expanded=False"
         )

@@ -9,6 +9,7 @@ import pytest
 
 from bes import props
 from bes.core import Const, System, Var, masked_iterates
+from bes.dag import build_expanded
 from bes.gen import gen_random_monotone
 from bes.text import parse_system
 
@@ -47,8 +48,8 @@ class TestSuitesPassOnRandomSystems:
     def test_single_concrete_params(self):
         system = parse_system("x = ?p & y; y = x | ?q;")
         for p in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            assert props.check_equality(system, p) is None
-            assert props.check_masked_le_pruned(system, p) is None
+            assert props.SUITES["equality"](system, p) is None
+            assert props.SUITES["masked_le_pruned"](system, p) is None
 
 
 class TestCounterexampleMachinery:
@@ -58,22 +59,8 @@ class TestCounterexampleMachinery:
         # formulas; the suites must stay quiet on the honest system and
         # the decoded parameters must replay on failure shapes
         system = parse_system("x = ?p;")
-        cex = props.check_equality(system)
+        cex = props.SUITES["equality"](system)
         assert cex is None
-
-    def test_decoded_params_length(self):
-        system = parse_system("x = ?p | ?q;")
-        # exercise the decoder on a fabricated mask
-        decoded = props._decode(system, None, 0b100)
-        assert decoded == (0, 1)
-
-    def test_bad_slice_picks_lowest_bit(self):
-        assert props._bad_slice(0b1000) == 3
-        assert props._bad_slice(0b1010) == 1
-
-    def test_explicit_params_pass_through(self):
-        system = parse_system("x = ?p;")
-        assert props._decode(system, (1,), 1) == (1,)
 
     def test_masking_check_reports_a_differing_iterate(self, monkeypatch):
         # flip y in slice 2 (p=0, q=1) of iterate 1 when x is pinned; x is
@@ -89,13 +76,70 @@ class TestCounterexampleMachinery:
             return out
 
         monkeypatch.setattr(props, "masked_iterates", flipped)
-        cex = props.check_masking_preserves_iterates(system)
+        cex = props.SUITES["masking_preserves_iterates"](system)
         assert cex == props.Counterexample(
             "masking_preserves_iterates",
             system,
             (0, 1),
             "masked=[] pinned=x: iterate 1 differs at y (m=1)",
         )
+
+
+def _unrolled_zero_times(system):
+    return build_expanded(system, 0)
+
+
+def _all_ones(dag, system, p=(), ones=1):
+    return [ones] * len(dag)
+
+
+def _all_zeros(dag, system, p=(), ones=1):
+    return [0] * len(dag)
+
+
+def _reversed_plain(system, masked, m, p=(), ones=1):
+    out = masked_iterates(system, masked, m, p, ones)
+    return out if masked else out[::-1]
+
+
+# One fault per suite, each standing in for a name ``props`` imports, and the
+# exact report on "x = ?p | ?q; y = x & ?q;".  Slices count p as bit 0, so a
+# failing mask of 0b1110 reports slice 1, (p, q) = (1, 0), and 0b1100 reports
+# slice 2, (0, 1); explicit parameters are reported as given.
+FAULT_TABLE = [
+    ("equality", "build_expanded", _unrolled_zero_times, None, (1, 0),
+     "coordinate x: iterated=True pruned=True expanded=False"),
+    ("equality", "build_expanded", _unrolled_zero_times, (0, 1), (0, 1),
+     "coordinate x: iterated=True pruned=True expanded=False"),
+    ("pruned_le_expanded", "build_expanded", _unrolled_zero_times, None, (1, 0),
+     "coordinate x: pruned=1 but expanded=0"),
+    ("prune_le_iterate", "node_values", _all_ones, None, (0, 0),
+     "masked=[] equation=x: pruned term exceeds iterate bound at m=1"),
+    ("zero_prefix", "masked_iterates", _reversed_plain, None, (0, 1),
+     "equation y: 0 at iterate 2 but 1 at iterate 0"),
+    ("masked_le_pruned", "node_values", _all_zeros, None, (1, 0),
+     "masked=[] equation=x m=0: masked application exceeds the pruned term"),
+    ("self_substitution", "substitute_var", lambda f, i, by: Const(1), None, (0, 0),
+     "zeroing x inside its own equation changed the fixpoint at x"),
+    ("memo_keys", "build_pruned_reference", _unrolled_zero_times, None, (1, 0),
+     "builders disagree at x"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, name, fake, params, reported, detail",
+    FAULT_TABLE,
+    ids=[f"{row[0]}-{'packed' if row[3] is None else 'explicit'}" for row in FAULT_TABLE],
+)
+def test_each_suite_reports_its_first_failure(
+    monkeypatch, suite, name, fake, params, reported, detail
+):
+    system = parse_system("x = ?p | ?q; y = x & ?q;")
+    assert props.SUITES[suite](system, params) is None
+    monkeypatch.setattr(props, name, fake)
+    assert props.SUITES[suite](system, params) == props.Counterexample(
+        suite, system, reported, detail
+    )
 
 
 class TestIterateTable:
@@ -113,13 +157,13 @@ class TestSubsetHandling:
     def test_subset_guard(self):
         wide = gen_random_monotone(15, 0, 2, 3)
         with pytest.raises(ValueError):
-            props.check_masked_le_pruned(wide)
+            props.SUITES["masked_le_pruned"](wide)
 
     def test_partial_subsets_accepted(self):
         wide = gen_random_monotone(15, 0, 2, 3)
         subs = [frozenset(), frozenset({0, 3}), frozenset(range(14))]
-        assert props.check_masked_le_pruned(wide, None, subs) is None
-        assert props.check_masking_preserves_iterates(wide, None, subs) is None
+        assert props.SUITES["masked_le_pruned"](wide, None, subs) is None
+        assert props.SUITES["masking_preserves_iterates"](wide, None, subs) is None
 
 
 class TestExhaustiveTinySystems:

@@ -123,6 +123,7 @@ ERROR_TABLE = [
     ),
     ("x = (1 1);", "1:8: expected ')', found '1'", 1, 8, "syntax"),
     ("x = (1 ;", "1:7: expected ')', found end of input", 1, 7, "syntax"),
+    ("long_name = (long_name ;", "1:23: expected ')', found end of input", 1, 23, "syntax"),
     ("x = 1 1;", "1:7: unexpected '1'", 1, 7, "syntax"),
     ("x = 1);", "1:6: unexpected ')'", 1, 6, "syntax"),
     ("x = 0_x;", "1:6: unexpected '_x'", 1, 6, "syntax"),
