@@ -62,6 +62,8 @@ def _parse_params(system: System, assignment: str | None) -> ParamAssignment:
                 raise SemanticError(f"unknown parameter {name!r}")
             if bit not in ("0", "1"):
                 raise SemanticError(f"parameter {name!r} needs a 0/1 value")
+            if name in given:
+                raise SemanticError(f"parameter {name!r} is assigned twice")
             given[name] = int(bit)
     missing = [name for name in system.param_names if name not in given]
     if missing:

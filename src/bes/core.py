@@ -171,15 +171,21 @@ def eval_formula(f: Formula, x: Sequence[int], p: ParamAssignment, ones: int = 1
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _check_params(system: System, p: ParamAssignment) -> None:
-    """Refuse a parameter tuple that does not give one bit per parameter."""
+def _check_params(system: System, p: ParamAssignment, ones: int) -> None:
+    """Refuse a parameter tuple that does not give one bit, or one mask no
+    wider than ``ones``, per parameter."""
     if len(p) != system.num_params:
         raise ValueError(f"expected {system.num_params} parameter bits, got {len(p)}")
+    for bits in p:
+        if bits | ones != ones:
+            raise ValueError(
+                f"parameter bits {bits:#x} lie outside the {ones.bit_length()}-bit mask"
+            )
 
 
 def step(system: System, x: Valuation, p: ParamAssignment = (), ones: int = 1) -> Valuation:
     """One parallel application of all equations to x."""
-    _check_params(system, p)
+    _check_params(system, p, ones)
     return tuple(eval_formula(f, x, p, ones) for f in system.formulas)
 
 
@@ -231,7 +237,7 @@ def _settle(
     start a monotone system settles within n of them, so one more raises
     NonMonotoneError.
     """
-    _check_params(system, p)
+    _check_params(system, p, ones)
     depth = 0
     for _ in _changing_rounds(system, x, frozenset(), p, ones):
         depth += 1
@@ -258,14 +264,16 @@ def kleene_lfp(
     return _settle(system, [0] * system.n, p, ones)
 
 
-def greatest_fixpoint(system: System, p: ParamAssignment = ()) -> tuple[Valuation, int]:
+def greatest_fixpoint(
+    system: System, p: ParamAssignment = (), ones: int = 1
+) -> tuple[Valuation, int]:
     """Greatest fixpoint by descending iteration from the all-ones tuple.
 
     The mirror image of ``kleene_lfp``: the iterates descend and settle
     within n applications, and depth counts the applications that changed
     something.
     """
-    return _settle(system, [1] * system.n, p, 1)
+    return _settle(system, [ones] * system.n, p, ones)
 
 
 def masked_iterates(
@@ -285,7 +293,7 @@ def masked_iterates(
     """
     if m < 0:
         raise ValueError("iteration count must be nonnegative")
-    _check_params(system, p)
+    _check_params(system, p, ones)
     x = [0] * system.n
     out = [tuple(x)]
     for _ in islice(_changing_rounds(system, x, masked, p, ones), m):

@@ -223,7 +223,7 @@ def node_values(
     """Value of every node in table order, computed bottom-up in one pass."""
     if dag.arity != system.n:
         raise ValueError("DAG arity does not match the system")
-    _check_params(system, p)
+    _check_params(system, p, ones)
     supports = [list(supp) for supp in system.supports()]
     formulas = system.formulas
     # One argument buffer serves every node: a node writes exactly the

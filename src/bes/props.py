@@ -7,7 +7,10 @@ an explicit assignment it checks that one; with ``params=None`` it sweeps
 every assignment at once using packed bitmasks (one bit per assignment), so
 a single pass covers all 2**P parameter choices, and it reports the lowest
 failing assignment.  ``subsets`` samples the masked sets of the suites that
-range over them; by default a system of up to 14 equations has all swept.
+range over them (an index outside 0..n-1 raises ValueError); by default a
+system of up to 14 equations has all swept.  A suite evaluates no equation
+itself: for i outside a masked set S, f_i(x^m_S) is coordinate i of the
+S-masked iterate m + 1, and the pruned side comes from ``node_values``.
 
 The suites:
 
@@ -40,7 +43,6 @@ from .core import (
     Valuation,
     _check_params,
     decode_param_slice,
-    eval_formula,
     kleene_lfp,
     masked_iterates,
     param_masks,
@@ -78,17 +80,19 @@ def _all_subsets(n: int) -> list[IndexSet]:
 
 def _subsets(system: System, subsets: Iterable[IndexSet] | None) -> list[IndexSet]:
     if subsets is not None:
-        return list(subsets)
+        subs = list(subsets)
+        indices = frozenset(range(system.n))
+        if not indices.issuperset(frozenset().union(*subs)):
+            bad = next(s for s in subs if not indices.issuperset(s))
+            raise ValueError(f"masked set {sorted(bad)} has an index outside 0..{system.n - 1}")
+        return subs
     if system.n > _MAX_EXHAUSTIVE_N:
         raise ValueError("exhaustive subset sweep is too large; pass a subset sample")
     return _all_subsets(system.n)
 
 
 def _pruned_term_values(
-    system: System,
-    pbits: Sequence[int],
-    ones: int,
-    subsets: list[IndexSet],
+    system: System, pbits: Sequence[int], ones: int, subsets: list[IndexSet]
 ) -> dict[tuple[int, IndexSet], int]:
     """Value of every (masked set, equation) pruned subterm, in one shared DAG."""
     builder = PrunedBuilder(system)
@@ -99,12 +103,6 @@ def _pruned_term_values(
     }
     values = node_values(builder.dag, system, pbits, ones)
     return {key: values[tid] for key, tid in tids.items()}
-
-
-def _applied_plain(system: System, pbits: Sequence[int], ones: int) -> list[list[int]]:
-    """f_i at every plain iterate: ``applied[i][m]`` is f_i(x^m) for m = 0..n."""
-    plain = masked_iterates(system, frozenset(), system.n, pbits, ones)
-    return [[eval_formula(f, x, pbits, ones) for x in plain] for f in system.formulas]
 
 
 def _equality(system, pbits, ones, subsets):
@@ -140,11 +138,11 @@ def _prune_le_iterate(system, pbits, ones, subsets):
     n = system.n
     subs = [s for s in _subsets(system, subsets) if len(s) < n]
     values = _pruned_term_values(system, pbits, ones, subs)
-    applied = _applied_plain(system, pbits, ones)
+    plain = masked_iterates(system, frozenset(), n + 1, pbits, ones)
     for masked in subs:
         m = n - len(masked) - 1
         for i in range(n):
-            bad = values[(i, masked)] & ~applied[i][m] & ones
+            bad = values[(i, masked)] & ~plain[m + 1][i] & ones
             if bad:
                 yield bad, (
                     f"masked={sorted(masked)} equation={system.var_names[i]}: "
@@ -155,12 +153,12 @@ def _prune_le_iterate(system, pbits, ones, subsets):
 def _zero_prefix(system, pbits, ones, subsets):
     """If an equation is 0 at iterate m, it is 0 at every iterate up to m."""
     n = system.n
-    applied = _applied_plain(system, pbits, ones)
+    plain = masked_iterates(system, frozenset(), n + 1, pbits, ones)
     for i in range(n):
         for m in range(n + 1):
-            zero_at_m = ~applied[i][m] & ones
+            zero_at_m = ~plain[m + 1][i] & ones
             for earlier in range(m):
-                bad = applied[i][earlier] & zero_at_m
+                bad = plain[earlier + 1][i] & zero_at_m
                 if bad:
                     yield bad, (
                         f"equation {system.var_names[i]}: 0 at iterate {m} "
@@ -180,7 +178,7 @@ def _masking_preserves_iterates(system, pbits, ones, subsets):
     def iters(masked: IndexSet) -> list[Valuation]:
         got = iterates.get(masked)
         if got is None:
-            got = masked_iterates(system, masked, n, pbits, ones)
+            got = masked_iterates(system, masked, n + 1, pbits, ones)
             iterates[masked] = got
         return got
 
@@ -194,7 +192,7 @@ def _masking_preserves_iterates(system, pbits, ones, subsets):
             for m in range(n + 1):
                 for a, b in zip(base[m], pinned[m]):
                     diff |= a ^ b
-                dead = ~eval_formula(system.formulas[i], base[m], pbits, ones) & ones
+                dead = ~base[m + 1][i] & ones
                 if not diff & dead:
                     continue
                 for p in range(m + 1):
@@ -218,12 +216,12 @@ def _masked_le_pruned(system, pbits, ones, subsets):
     values = _pruned_term_values(system, pbits, ones, subs)
     for masked in subs:
         upto = n - len(masked)
-        masked_iter = masked_iterates(system, masked, upto, pbits, ones)
+        masked_iter = masked_iterates(system, masked, upto + 1, pbits, ones)
         for i in range(n):
             if i in masked:
                 continue  # pinned side is constant 0, trivially bounded
             for m in range(upto + 1):
-                lhs = eval_formula(system.formulas[i], masked_iter[m], pbits, ones)
+                lhs = masked_iter[m + 1][i]
                 bad = lhs & ~values[(i, masked)] & ones
                 if bad:
                     yield bad, (
@@ -278,7 +276,7 @@ def _suite(name: str, violations: Callable[..., Iterator[tuple[int, str]]]) -> C
         if params is None:
             pbits, ones = param_masks(system.num_params)
         else:
-            _check_params(system, params)
+            _check_params(system, params, 1)
             pbits, ones = params, 1
         for bad, detail in violations(system, pbits, ones, subsets):
             if params is None:

@@ -41,6 +41,14 @@ class TestSolve:
         path.write_text("x = ?p;\n")
         assert main(["solve", str(path), "--params", "p=1,zz=0"]) == 3
 
+    def test_param_assigned_twice_rejected(self, tmp_path, capsys):
+        path = tmp_path / "p.bes"
+        path.write_text("x = ?p & ?q;\n")
+        assert main(["solve", str(path), "--params", "p=1,p=0,q=1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: parameter 'p' is assigned twice\n"
+
     def test_missing_file(self):
         assert main(["solve", "/nonexistent/nowhere.bes"]) == 4
 

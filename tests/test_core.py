@@ -9,6 +9,7 @@ from bes.core import (
     Param,
     System,
     Var,
+    decode_param_slice,
     eval_formula,
     greatest_fixpoint,
     kleene_lfp,
@@ -145,7 +146,7 @@ class TestParameterLength:
 
         return {
             "kleene_lfp": lambda: kleene_lfp(s, p, ones),
-            "greatest_fixpoint": lambda: greatest_fixpoint(s, p),
+            "greatest_fixpoint": lambda: greatest_fixpoint(s, p, ones),
             "step": lambda: step(s, (0,) * s.n, p, ones),
             "masked_iterates": lambda: masked_iterates(s, frozenset(), 2, p, ones),
             "masked_iterates m=0": lambda: masked_iterates(s, frozenset(), 0, p, ones),
@@ -169,6 +170,20 @@ class TestParameterLength:
                     call()
         for call in self.entry_points(s, masks, ones).values():
             call()
+
+    @pytest.mark.parametrize("bits", [2, -1])
+    def test_entries_outside_the_mask_rejected(self, bits):
+        s = parse_system("x = ?p & y; y = x | ?q;")
+        for call in self.entry_points(s, (0, bits)).values():
+            with pytest.raises(ValueError, match="outside the 1-bit mask"):
+                call()
+
+    def test_packed_mask_wider_than_ones_rejected(self):
+        s = parse_system("x = ?p & y; y = x | ?q;")
+        masks, ones = param_masks(2)
+        for call in self.entry_points(s, (masks[0], masks[1] | (ones + 1)), ones).values():
+            with pytest.raises(ValueError, match="outside the 4-bit mask"):
+                call()
 
     def test_parameter_free_system_takes_the_empty_tuple(self):
         s = parse_system("x = y; y = x | 1;")
@@ -257,6 +272,16 @@ class TestChangeDrivenIteration:
             s = gen_random_monotone(seed % 8 + 1, seed % 4, 3, seed)
             for p in all_params(s.num_params):
                 assert greatest_fixpoint(s, p) == definitional_fixpoint(s, 1, p, 1), (seed, p)
+
+    def test_packed_gfp_matches_each_slice(self):
+        for seed in range(300):
+            s = gen_random_monotone(seed % 8 + 1, seed % 4, 3, seed)
+            masks, ones = param_masks(s.num_params)
+            packed = greatest_fixpoint(s, masks, ones)
+            assert packed == definitional_fixpoint(s, ones, masks, ones), seed
+            for j in range(ones.bit_length()):
+                value, _ = greatest_fixpoint(s, decode_param_slice(s.num_params, j))
+                assert tuple((bits >> j) & 1 for bits in packed[0]) == value, (seed, j)
 
     def test_chain_costs_linear_evaluations(self, monkeypatch):
         import bes.core

@@ -5,6 +5,8 @@ form correct; here they run against systems where the expected outcome is
 known, plus a sweep asserting no random system ever trips any of them.
 """
 
+import re
+
 import pytest
 
 from bes import props
@@ -50,6 +52,13 @@ class TestSuitesPassOnRandomSystems:
         for p in ((0, 0), (0, 1), (1, 0), (1, 1)):
             assert props.SUITES["equality"](system, p) is None
             assert props.SUITES["masked_le_pruned"](system, p) is None
+
+    @pytest.mark.parametrize("p", [(0, 2), (-1, 0)])
+    def test_explicit_params_must_be_bits(self, p):
+        system = parse_system("x = ?p & y; y = x | ?q;")
+        for check in props.SUITES.values():
+            with pytest.raises(ValueError, match="outside the 1-bit mask"):
+                check(system, p)
 
 
 class TestCounterexampleMachinery:
@@ -102,7 +111,15 @@ def _reversed_plain(system, masked, m, p=(), ones=1):
     return out if masked else out[::-1]
 
 
-# One fault per suite, each standing in for a name ``props`` imports, and the
+def _flipped_first_masked_iterate(system, masked, m, p=(), ones=1):
+    # slice 0 of every coordinate of iterate 1, for every non-empty masked set
+    out = masked_iterates(system, masked, m, p, ones)
+    if masked:
+        out[1] = tuple(v ^ 1 for v in out[1])
+    return out
+
+
+# Faults for every suite, each standing in for a name ``props`` imports, and the
 # exact report on "x = ?p | ?q; y = x & ?q;".  Slices count p as bit 0, so a
 # failing mask of 0b1110 reports slice 1, (p, q) = (1, 0), and 0b1100 reports
 # slice 2, (0, 1); explicit parameters are reported as given.
@@ -115,10 +132,16 @@ FAULT_TABLE = [
      "coordinate x: pruned=1 but expanded=0"),
     ("prune_le_iterate", "node_values", _all_ones, None, (0, 0),
      "masked=[] equation=x: pruned term exceeds iterate bound at m=1"),
-    ("zero_prefix", "masked_iterates", _reversed_plain, None, (0, 1),
-     "equation y: 0 at iterate 2 but 1 at iterate 0"),
+    ("prune_le_iterate", "masked_iterates", _reversed_plain, None, (0, 1),
+     "masked=[] equation=y: pruned term exceeds iterate bound at m=1"),
+    ("zero_prefix", "masked_iterates", _reversed_plain, None, (1, 0),
+     "equation x: 0 at iterate 2 but 1 at iterate 0"),
+    ("masking_preserves_iterates", "masked_iterates", _flipped_first_masked_iterate, None,
+     (0, 0), "masked=[] pinned=x: iterate 1 differs at x (m=1)"),
     ("masked_le_pruned", "node_values", _all_zeros, None, (1, 0),
      "masked=[] equation=x m=0: masked application exceeds the pruned term"),
+    ("masked_le_pruned", "masked_iterates", _flipped_first_masked_iterate, None, (0, 0),
+     "masked=[0] equation=y m=0: masked application exceeds the pruned term"),
     ("self_substitution", "substitute_var", lambda f, i, by: Const(1), None, (0, 0),
      "zeroing x inside its own equation changed the fixpoint at x"),
     ("memo_keys", "build_pruned_reference", _unrolled_zero_times, None, (1, 0),
@@ -126,11 +149,15 @@ FAULT_TABLE = [
 ]
 
 
-@pytest.mark.parametrize(
-    "suite, name, fake, params, reported, detail",
-    FAULT_TABLE,
-    ids=[f"{row[0]}-{'packed' if row[3] is None else 'explicit'}" for row in FAULT_TABLE],
-)
+# A row is named by its suite and parameter mode, plus the faked name when a
+# row before it already took that pair.
+FAULT_IDS: list[str] = []
+for row in FAULT_TABLE:
+    row_id = f"{row[0]}-{'packed' if row[3] is None else 'explicit'}"
+    FAULT_IDS.append(row_id if row_id not in FAULT_IDS else f"{row_id}-{row[1]}")
+
+
+@pytest.mark.parametrize("suite, name, fake, params, reported, detail", FAULT_TABLE, ids=FAULT_IDS)
 def test_each_suite_reports_its_first_failure(
     monkeypatch, suite, name, fake, params, reported, detail
 ):
@@ -154,6 +181,16 @@ class TestIterateTable:
 
 
 class TestSubsetHandling:
+    @pytest.mark.parametrize("bad", [{5}, {-1}, {1, 5, 6}])
+    @pytest.mark.parametrize(
+        "name", ["prune_le_iterate", "masking_preserves_iterates", "masked_le_pruned"]
+    )
+    def test_index_outside_the_system_rejected(self, name, bad):
+        system = parse_system("x = ?p & y; y = x | ?q;")
+        subs = [frozenset(), frozenset({1}), frozenset(bad)]
+        with pytest.raises(ValueError, match=re.escape(f"masked set {sorted(bad)} has")):
+            props.SUITES[name](system, None, subs)
+
     def test_subset_guard(self):
         wide = gen_random_monotone(15, 0, 2, 3)
         with pytest.raises(ValueError):
