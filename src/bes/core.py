@@ -264,16 +264,14 @@ def kleene_lfp(
     return _settle(system, [0] * system.n, p, ones)
 
 
-def greatest_fixpoint(
-    system: System, p: ParamAssignment = (), ones: int = 1
-) -> tuple[Valuation, int]:
+def greatest_fixpoint(system: System, p: ParamAssignment = ()) -> tuple[Valuation, int]:
     """Greatest fixpoint by descending iteration from the all-ones tuple.
 
     The mirror image of ``kleene_lfp``: the iterates descend and settle
     within n applications, and depth counts the applications that changed
     something.
     """
-    return _settle(system, [ones] * system.n, p, ones)
+    return _settle(system, [1] * system.n, p, 1)
 
 
 def masked_iterates(

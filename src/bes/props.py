@@ -82,9 +82,9 @@ def _subsets(system: System, subsets: Iterable[IndexSet] | None) -> list[IndexSe
     if subsets is not None:
         subs = list(subsets)
         indices = frozenset(range(system.n))
-        if not indices.issuperset(frozenset().union(*subs)):
-            bad = next(s for s in subs if not indices.issuperset(s))
-            raise ValueError(f"masked set {sorted(bad)} has an index outside 0..{system.n - 1}")
+        for s in subs:
+            if not indices.issuperset(s):
+                raise ValueError(f"masked set {sorted(s)} has an index outside 0..{system.n - 1}")
         return subs
     if system.n > _MAX_EXHAUSTIVE_N:
         raise ValueError("exhaustive subset sweep is too large; pass a subset sample")

@@ -9,7 +9,6 @@ from bes.core import (
     Param,
     System,
     Var,
-    decode_param_slice,
     eval_formula,
     greatest_fixpoint,
     kleene_lfp,
@@ -144,15 +143,17 @@ class TestParameterLength:
     def entry_points(self, s, p, ones=1):
         from bes.dag import build_expanded, build_pruned, eval_dag, node_values
 
-        return {
+        calls = {
             "kleene_lfp": lambda: kleene_lfp(s, p, ones),
-            "greatest_fixpoint": lambda: greatest_fixpoint(s, p, ones),
             "step": lambda: step(s, (0,) * s.n, p, ones),
             "masked_iterates": lambda: masked_iterates(s, frozenset(), 2, p, ones),
             "masked_iterates m=0": lambda: masked_iterates(s, frozenset(), 0, p, ones),
             "node_values": lambda: node_values(build_pruned(s), s, p, ones),
             "eval_dag": lambda: eval_dag(build_expanded(s), s, p, ones),
         }
+        if ones == 1:
+            calls["greatest_fixpoint"] = lambda: greatest_fixpoint(s, p)
+        return calls
 
     @pytest.mark.parametrize("p", [(), (1,), (1, 1, 1)])
     def test_wrong_length_rejected(self, p):
@@ -272,16 +273,6 @@ class TestChangeDrivenIteration:
             s = gen_random_monotone(seed % 8 + 1, seed % 4, 3, seed)
             for p in all_params(s.num_params):
                 assert greatest_fixpoint(s, p) == definitional_fixpoint(s, 1, p, 1), (seed, p)
-
-    def test_packed_gfp_matches_each_slice(self):
-        for seed in range(300):
-            s = gen_random_monotone(seed % 8 + 1, seed % 4, 3, seed)
-            masks, ones = param_masks(s.num_params)
-            packed = greatest_fixpoint(s, masks, ones)
-            assert packed == definitional_fixpoint(s, ones, masks, ones), seed
-            for j in range(ones.bit_length()):
-                value, _ = greatest_fixpoint(s, decode_param_slice(s.num_params, j))
-                assert tuple((bits >> j) & 1 for bits in packed[0]) == value, (seed, j)
 
     def test_chain_costs_linear_evaluations(self, monkeypatch):
         import bes.core

@@ -119,7 +119,7 @@ def _flipped_first_masked_iterate(system, masked, m, p=(), ones=1):
     return out
 
 
-# Faults for every suite, each standing in for a name ``props`` imports, and the
+# One fault per suite, each standing in for a name ``props`` imports, and the
 # exact report on "x = ?p | ?q; y = x & ?q;".  Slices count p as bit 0, so a
 # failing mask of 0b1110 reports slice 1, (p, q) = (1, 0), and 0b1100 reports
 # slice 2, (0, 1); explicit parameters are reported as given.
@@ -132,16 +132,10 @@ FAULT_TABLE = [
      "coordinate x: pruned=1 but expanded=0"),
     ("prune_le_iterate", "node_values", _all_ones, None, (0, 0),
      "masked=[] equation=x: pruned term exceeds iterate bound at m=1"),
-    ("prune_le_iterate", "masked_iterates", _reversed_plain, None, (0, 1),
-     "masked=[] equation=y: pruned term exceeds iterate bound at m=1"),
     ("zero_prefix", "masked_iterates", _reversed_plain, None, (1, 0),
      "equation x: 0 at iterate 2 but 1 at iterate 0"),
-    ("masking_preserves_iterates", "masked_iterates", _flipped_first_masked_iterate, None,
-     (0, 0), "masked=[] pinned=x: iterate 1 differs at x (m=1)"),
     ("masked_le_pruned", "node_values", _all_zeros, None, (1, 0),
      "masked=[] equation=x m=0: masked application exceeds the pruned term"),
-    ("masked_le_pruned", "masked_iterates", _flipped_first_masked_iterate, None, (0, 0),
-     "masked=[0] equation=y m=0: masked application exceeds the pruned term"),
     ("self_substitution", "substitute_var", lambda f, i, by: Const(1), None, (0, 0),
      "zeroing x inside its own equation changed the fixpoint at x"),
     ("memo_keys", "build_pruned_reference", _unrolled_zero_times, None, (1, 0),
@@ -149,15 +143,24 @@ FAULT_TABLE = [
 ]
 
 
-# A row is named by its suite and parameter mode, plus the faked name when a
-# row before it already took that pair.
-FAULT_IDS: list[str] = []
-for row in FAULT_TABLE:
-    row_id = f"{row[0]}-{'packed' if row[3] is None else 'explicit'}"
-    FAULT_IDS.append(row_id if row_id not in FAULT_IDS else f"{row_id}-{row[1]}")
+# Faults in masked iteration itself, on the same system with parameters swept.
+# Their ids add the faked name, as "prune_le_iterate-packed" is taken above.
+ITERATION_FAULT_TABLE = [
+    ("prune_le_iterate", "masked_iterates", _reversed_plain, None, (0, 1),
+     "masked=[] equation=y: pruned term exceeds iterate bound at m=1"),
+    ("masking_preserves_iterates", "masked_iterates", _flipped_first_masked_iterate, None,
+     (0, 0), "masked=[] pinned=x: iterate 1 differs at x (m=1)"),
+    ("masked_le_pruned", "masked_iterates", _flipped_first_masked_iterate, None, (0, 0),
+     "masked=[0] equation=y m=0: masked application exceeds the pruned term"),
+]
 
 
-@pytest.mark.parametrize("suite, name, fake, params, reported, detail", FAULT_TABLE, ids=FAULT_IDS)
+@pytest.mark.parametrize(
+    "suite, name, fake, params, reported, detail",
+    FAULT_TABLE + ITERATION_FAULT_TABLE,
+    ids=[f"{row[0]}-{'packed' if row[3] is None else 'explicit'}" for row in FAULT_TABLE]
+    + [f"{row[0]}-packed-{row[1]}" for row in ITERATION_FAULT_TABLE],
+)
 def test_each_suite_reports_its_first_failure(
     monkeypatch, suite, name, fake, params, reported, detail
 ):
