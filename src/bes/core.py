@@ -197,25 +197,28 @@ def tuple_le(x: Valuation, y: Valuation) -> bool:
 
 
 def _changing_rounds(
-    system: System, x: list[int], masked: IndexSet, p: ParamAssignment, ones: int
+    system: System, x: list[int], live: Sequence[int], p: ParamAssignment, ones: int
 ) -> Iterator[None]:
     """Apply the system in rounds to x in place; yield after each round that
     changed x, and stop at the first round that changes nothing.
 
-    Equations in ``masked`` stay 0.  Round 1 evaluates every other equation;
-    each later round re-evaluates only the readers of the variables the
-    previous round changed.  That is exact: f_i reads only its support, so
-    if no variable in it changed, neither does x_i.  Every round evaluates
-    against the previous iterate, so the rounds are the parallel
-    applications x^{k+1} = f(x^k) themselves.
+    Equation i sets x_i to f_i(x) & live[i]: a bit of ``live[i]`` that is 0
+    pins x_i to 0 there, and an equation with no live bit is never
+    evaluated.  Round 1 evaluates every other equation; each later round
+    re-evaluates only the readers of the variables the previous round
+    changed.  That is exact: f_i reads only its support, so if no variable in
+    it changed, neither does x_i.  Every round evaluates against the previous
+    iterate, so the rounds are the parallel applications x^{k+1} = f(x^k)
+    themselves.
     """
     formulas = system.formulas
     readers = system._readers
-    dirty = set(range(system.n)).difference(masked)
+    pinned = {i for i, lanes in enumerate(live) if not lanes}
+    dirty = set(range(system.n)).difference(pinned)
     while True:
         changed = []
         for i in dirty:
-            value = eval_formula(formulas[i], x, p, ones)
+            value = eval_formula(formulas[i], x, p, ones) & live[i]
             if value != x[i]:
                 changed.append((i, value))
         if not changed:
@@ -224,7 +227,7 @@ def _changing_rounds(
         for j, value in changed:
             x[j] = value
             dirty.update(readers[j])
-        dirty.difference_update(masked)
+        dirty.difference_update(pinned)
         yield
 
 
@@ -239,7 +242,7 @@ def _settle(
     """
     _check_params(system, p, ones)
     depth = 0
-    for _ in _changing_rounds(system, x, frozenset(), p, ones):
+    for _ in _changing_rounds(system, x, [ones] * system.n, p, ones):
         depth += 1
         if depth > system.n:
             raise NonMonotoneError("iteration exceeded the lattice height; system is not monotone")
@@ -292,9 +295,16 @@ def masked_iterates(
     if m < 0:
         raise ValueError("iteration count must be nonnegative")
     _check_params(system, p, ones)
+    return _iterates(system, [0 if i in masked else ones for i in range(system.n)], m, p, ones)
+
+
+def _iterates(
+    system: System, live: Sequence[int], m: int, p: ParamAssignment, ones: int
+) -> list[Valuation]:
+    """Iterates x^0 .. x^m from all zeros with x_i <- f_i(x) & live[i]."""
     x = [0] * system.n
     out = [tuple(x)]
-    for _ in islice(_changing_rounds(system, x, masked, p, ones), m):
+    for _ in islice(_changing_rounds(system, x, live, p, ones), m):
         out.append(tuple(x))
     out.extend([out[-1]] * (m + 1 - len(out)))
     return out

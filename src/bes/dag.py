@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
-    IndexSet,
     ParamAssignment,
     System,
     Valuation,
@@ -113,26 +112,27 @@ class TermDag:
         return sorted(seen)
 
 
-def _cones(system: System) -> list[frozenset[int]]:
-    """For each variable, the set of variables reachable from it, itself included."""
+def _cones(system: System) -> list[int]:
+    """For each variable, the bitmask of the variables reachable from it, itself included."""
     supports = system.supports()
-    cones: list[frozenset[int]] = []
+    cones: list[int] = []
     for start in range(system.n):
-        seen = {start}
+        seen = 1 << start
         stack = [start]
         while stack:
             v = stack.pop()
             for w in supports[v]:
-                if w not in seen:
-                    seen.add(w)
+                if not seen >> w & 1:
+                    seen |= 1 << w
                     stack.append(w)
-        cones.append(frozenset(seen))
+        cones.append(seen)
     return cones
 
 
 class PrunedBuilder:
     """Shared construction of pruned subterms for any (masked set, equation) pair.
 
+    A masked set is an int bitmask, bit i standing for equation i.
     ``canonical_keys`` switches the memo key between the raw masked set and
     its restriction to the equation's cone, the indices consultable from it;
     both produce semantically identical terms, the restricted key just
@@ -144,18 +144,19 @@ class PrunedBuilder:
         self.system = system
         self.dag = TermDag(system.n)
         self._supports = system.supports()
-        self._memo: dict[tuple[int, IndexSet], int] = {}
+        self._memo: dict[tuple[int, int], int] = {}
         self._key_sets = _cones(system) if canonical_keys else None
 
-    def term(self, masked: IndexSet, i: int) -> int:
-        """Id of the subterm for equation i under the given masked set."""
-        if i in masked:
+    def term(self, masked: int, i: int) -> int:
+        """Id of the subterm for equation i under the masked set ``masked``."""
+        bit = 1 << i
+        if masked & bit:
             return BOTTOM
         key_set = masked if self._key_sets is None else masked & self._key_sets[i]
         key = (i, key_set)
         tid = self._memo.get(key)
         if tid is None:
-            inner = masked | {i}
+            inner = masked | bit
             args = tuple((j, self.term(inner, j)) for j in self._supports[i])
             tid = self.dag.apply(i, args)
             self._memo[key] = tid
@@ -165,15 +166,13 @@ class PrunedBuilder:
 def build_pruned(system: System) -> TermDag:
     """The pruned closed form: one root per equation, nothing masked at the top."""
     builder = PrunedBuilder(system)
-    empty: IndexSet = frozenset()
-    return builder.dag.freeze(tuple(builder.term(empty, i) for i in range(system.n)))
+    return builder.dag.freeze(tuple(builder.term(0, i) for i in range(system.n)))
 
 
 def build_pruned_reference(system: System) -> TermDag:
     """Pruned form built with unrestricted memo keys; oracle for key soundness."""
     builder = PrunedBuilder(system, canonical_keys=False)
-    empty: IndexSet = frozenset()
-    return builder.dag.freeze(tuple(builder.term(empty, i) for i in range(system.n)))
+    return builder.dag.freeze(tuple(builder.term(0, i) for i in range(system.n)))
 
 
 def build_expanded(system: System, k: int | None = None) -> TermDag:

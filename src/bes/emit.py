@@ -218,8 +218,14 @@ def write_dimacs(cnf: CnfFormula) -> str:
     """Standard DIMACS text; the node map travels in ``c map`` comment lines."""
     lines = [f"c map {v} {note}" for v, note in sorted(cnf.node_map.items())]
     lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
+    # Tseitin clauses have 1 to 3 literals; %-formatting them is about twice
+    # as fast as joining, and prints the same text.
+    formats = (None, "%d 0", "%d %d 0", "%d %d %d 0")
     for clause in cnf.clauses:
-        lines.append(" ".join(map(str, clause)) + " 0")
+        if len(clause) <= 3:
+            lines.append(formats[len(clause)] % clause)
+        else:
+            lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 

@@ -12,6 +12,17 @@ system of up to 14 equations has all swept.  A suite evaluates no equation
 itself: for i outside a masked set S, f_i(x^m_S) is coordinate i of the
 S-masked iterate m + 1, and the pruned side comes from ``node_values``.
 
+Up to 14 equations, the two suites that compare masked iterates set by set,
+``masking_preserves_iterates`` and ``masked_le_pruned``, first run a lane
+screen.  One packed iteration gives every masked iterate of every masked set:
+lane S*W + j holds set S (as a bitmask) under parameter assignment j, W being
+the width of the parameter sweep, and x_i <- f_i(x) is masked to the lanes
+whose set lacks i.  A system the screen passes returns None; one it flags is
+replayed by the scalar check, which builds the Counterexample, so every
+report is the scalar one.  A flag the replay does not confirm raises
+RuntimeError.  ``prune_le_iterate`` needs only the plain iterates and stays
+scalar.
+
 The suites:
 
 * ``equality``: pruned value = iterated fixpoint = expanded value.
@@ -33,7 +44,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate
+from operator import or_
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     Const,
@@ -42,6 +55,7 @@ from .core import (
     System,
     Valuation,
     _check_params,
+    _iterates,
     decode_param_slice,
     kleene_lfp,
     masked_iterates,
@@ -91,18 +105,22 @@ def _subsets(system: System, subsets: Iterable[IndexSet] | None) -> list[IndexSe
     return _all_subsets(system.n)
 
 
+def _mask(masked: IndexSet) -> int:
+    """A masked set as a bitmask, bit i standing for equation i."""
+    return sum(1 << i for i in masked)
+
+
 def _pruned_term_values(
-    system: System, pbits: Sequence[int], ones: int, subsets: list[IndexSet]
-) -> dict[tuple[int, IndexSet], int]:
-    """Value of every (masked set, equation) pruned subterm, in one shared DAG."""
+    system: System, pbits: Sequence[int], ones: int, masks: list[int]
+) -> list[list[int]]:
+    """Value of the pruned (S, i) subterm for every given masked set S (as a
+    bitmask) and every equation i, in one shared DAG; row k belongs to masks[k]."""
     builder = PrunedBuilder(system)
-    tids = {
-        (i, masked): builder.term(masked, i)
-        for masked in subsets
-        for i in range(system.n)
-    }
+    term = builder.term
+    equations = range(system.n)
+    tids = [[term(mask, i) for i in equations] for mask in masks]
     values = node_values(builder.dag, system, pbits, ones)
-    return {key: values[tid] for key, tid in tids.items()}
+    return [[values[tid] for tid in row] for row in tids]
 
 
 def _equality(system, pbits, ones, subsets):
@@ -137,12 +155,12 @@ def _prune_le_iterate(system, pbits, ones, subsets):
     """
     n = system.n
     subs = [s for s in _subsets(system, subsets) if len(s) < n]
-    values = _pruned_term_values(system, pbits, ones, subs)
+    values = _pruned_term_values(system, pbits, ones, [_mask(s) for s in subs])
     plain = masked_iterates(system, frozenset(), n + 1, pbits, ones)
-    for masked in subs:
+    for masked, row in zip(subs, values):
         m = n - len(masked) - 1
         for i in range(n):
-            bad = values[(i, masked)] & ~plain[m + 1][i] & ones
+            bad = row[i] & ~plain[m + 1][i] & ones
             if bad:
                 yield bad, (
                     f"masked={sorted(masked)} equation={system.var_names[i]}: "
@@ -213,8 +231,8 @@ def _masked_le_pruned(system, pbits, ones, subsets):
     """
     n = system.n
     subs = _subsets(system, subsets)
-    values = _pruned_term_values(system, pbits, ones, subs)
-    for masked in subs:
+    values = _pruned_term_values(system, pbits, ones, [_mask(s) for s in subs])
+    for masked, row in zip(subs, values):
         upto = n - len(masked)
         masked_iter = masked_iterates(system, masked, upto + 1, pbits, ones)
         for i in range(n):
@@ -222,12 +240,99 @@ def _masked_le_pruned(system, pbits, ones, subsets):
                 continue  # pinned side is constant 0, trivially bounded
             for m in range(upto + 1):
                 lhs = masked_iter[m + 1][i]
-                bad = lhs & ~values[(i, masked)] & ones
+                bad = lhs & ~row[i] & ones
                 if bad:
                     yield bad, (
                         f"masked={sorted(masked)} equation={system.var_names[i]} m={m}: "
                         f"masked application exceeds the pruned term"
                     )
+
+
+class _Lanes(NamedTuple):
+    """Every masked iterate of every masked set, packed into the lanes of one int.
+
+    Lane S*W + j holds masked set S (as a bitmask) under parameter
+    assignment j, where W = ``width`` is the width of the parameter sweep.
+    ``table[m][i]`` is coordinate i of iterate m in every lane; ``without[i]``
+    is the lanes whose set lacks i, ``given`` those of the sets passed in, and
+    ``masks`` are the given sets as bitmasks, in the order passed.
+    """
+
+    masks: list[int]
+    table: list[Valuation]
+    width: int
+    without: list[int]
+    given: int
+
+
+def _lanes(
+    system: System, pbits: Sequence[int], ones: int, subsets: Iterable[IndexSet] | None
+) -> _Lanes:
+    """One packed iteration, x_i <- f_i(x) & without[i], for all 2**n masked sets.
+
+    The parameter masks repeat once per set, and iterates 0 .. n + 1 are kept,
+    as the suites ask for them.
+    """
+    n = system.n
+    masks = [_mask(s) for s in _subsets(system, subsets)]
+    width = ones.bit_length()
+    every = (1 << (width << n)) - 1
+    # Bit i of S is 0 in the low half of each run of 2**(i+1) blocks.
+    without = [
+        ((1 << (width << i)) - 1) * (every // ((1 << (width << (i + 1))) - 1))
+        for i in range(n)
+    ]
+    given = 0
+    for mask in masks:
+        given |= ones << mask * width
+    repeat = every // ones
+    table = _iterates(system, without, n + 1, [b * repeat for b in pbits], every)
+    return _Lanes(masks, table, width, without, given)
+
+
+def _masking_preserves_iterates_screen(system, pbits, ones, subsets) -> bool:
+    """Whether ``_masking_preserves_iterates`` can fail, from one packed run.
+
+    The S + {i} lane of a set S without i lies 2**i * W lanes above it.
+    """
+    lanes = _lanes(system, pbits, ones, subsets)
+    table = lanes.table
+    for i in range(system.n):
+        shift = lanes.width << i
+        keep = lanes.without[i] & lanes.given
+        diff = 0  # lanes where iterates 0..m of S and S + {i} differ anywhere
+        for m in range(system.n + 1):
+            for v in table[m]:
+                diff |= v ^ v >> shift
+            if diff & ~table[m + 1][i] & keep:
+                return True
+    return False
+
+
+def _masked_le_pruned_screen(system, pbits, ones, subsets) -> bool:
+    """Whether ``_masked_le_pruned`` can fail, from one packed run.
+
+    The pruned (S, i) values go into lane block S; iterate m + 1 is compared
+    in the lanes of the sets with at most n - m members.
+    """
+    n = system.n
+    lanes = _lanes(system, pbits, ones, subsets)
+    width = lanes.width
+    values = _pruned_term_values(system, pbits, ones, lanes.masks)
+    sized = [ones]  # sized[k]: the lanes of the sets of k members
+    for i in range(n):
+        sized = [lo | hi << (width << i) for lo, hi in zip(sized + [0], [0] + sized)]
+    at_most = list(accumulate(sized, or_))  # at_most[k]: the sets of at most k members
+    bounds = [0] * n  # bounds[i]: the pruned (S, i) values, in lane block S
+    for mask, row in zip(lanes.masks, values):
+        for i, value in enumerate(row):
+            bounds[i] |= value << mask * width
+    for i in range(n):
+        exceeds = ~bounds[i] & lanes.without[i] & lanes.given
+        for m in range(n + 1):
+            if lanes.table[m + 1][i] & exceeds & at_most[n - m]:
+                return True
+    return False
 
 
 def _self_substitution(system, pbits, ones, subsets):
@@ -260,12 +365,19 @@ def _memo_keys(system, pbits, ones, subsets):
 Check = Callable[..., Counterexample | None]
 
 
-def _suite(name: str, violations: Callable[..., Iterator[tuple[int, str]]]) -> Check:
+def _suite(
+    name: str,
+    violations: Callable[..., Iterator[tuple[int, str]]],
+    screen: Callable[..., bool] | None = None,
+) -> Check:
     """The check that reports the first of ``violations`` as a Counterexample.
 
     ``violations(system, pbits, ones, subsets)`` yields ``(bad, detail)`` for
     each failing comparison, ``bad`` holding one bit per failing parameter
-    slice; the lowest slice is decoded when every assignment is swept.
+    slice; the lowest slice is decoded when every assignment is swept.  A
+    ``screen`` with the same arguments says whether any comparison can fail;
+    up to ``_MAX_EXHAUSTIVE_N`` equations it runs first, and ``violations``
+    is replayed only on a system it flags, which must then fail.
     """
 
     def check(
@@ -278,17 +390,27 @@ def _suite(name: str, violations: Callable[..., Iterator[tuple[int, str]]]) -> C
         else:
             _check_params(system, params, 1)
             pbits, ones = params, 1
+        screened = screen is not None and system.n <= _MAX_EXHAUSTIVE_N
+        if screened and not screen(system, pbits, ones, subsets):
+            return None
         for bad, detail in violations(system, pbits, ones, subsets):
             if params is None:
                 params = decode_param_slice(system.num_params, (bad & -bad).bit_length() - 1)
             return Counterexample(name, system, params, detail)
+        if screened:
+            raise RuntimeError(f"{name}: the lane screen flags a system the scalar check passes")
         return None
 
     return check
 
 
+_SCREENS: dict[str, Callable[..., bool]] = {
+    "masking_preserves_iterates": _masking_preserves_iterates_screen,
+    "masked_le_pruned": _masked_le_pruned_screen,
+}
+
 SUITES: dict[str, Check] = {
-    v.__name__[1:]: _suite(v.__name__[1:], v)
+    v.__name__[1:]: _suite(v.__name__[1:], v, _SCREENS.get(v.__name__[1:]))
     for v in (
         _equality,
         _pruned_le_expanded,

@@ -139,6 +139,20 @@ class TestDimacs:
     def test_unit_clause(self):
         assert write_dimacs(CnfFormula(1, ((1,),))) == "p cnf 1 1\n1 0\n"
 
+    def test_clauses_of_every_length_print_as_joined(self):
+        # clauses of 1 to 3 literals take a fast path; each line must still
+        # be the literals joined by spaces and closed by " 0"
+        clauses = ((-7,), (12, -3), (1, -10, 11), (2, -4, 5, -6, 123))
+        cnf = CnfFormula(123, clauses, {12: "term 12 x", 1: "param p"})
+        text = write_dimacs(cnf)
+        assert text == (
+            "c map 1 param p\nc map 12 term 12 x\np cnf 123 4\n"
+            "-7 0\n12 -3 0\n1 -10 11 0\n2 -4 5 -6 123 0\n"
+        )
+        joined = [" ".join(map(str, clause)) + " 0" for clause in clauses]
+        assert text.splitlines()[3:] == joined
+        assert parse_dimacs(text) == cnf
+
     def test_round_trip(self):
         for seed in range(40):
             s = gen_random_monotone(seed % 5 + 1, seed % 4, 4, seed)

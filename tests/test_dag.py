@@ -5,6 +5,7 @@ from bes.core import decode_param_slice, kleene_lfp, tuple_le
 from bes.dag import (
     Apply,
     BOTTOM,
+    PrunedBuilder,
     TOP,
     build_expanded,
     build_pruned,
@@ -95,6 +96,17 @@ class TestPruned:
         f_inner = dag.node(g_root).args[0][1]
         assert dag.node(g_root) == Apply(1, ((0, f_inner), (1, BOTTOM)))
         assert dag.node(f_inner) == Apply(0, ((0, BOTTOM), (1, BOTTOM)))
+
+    def test_builder_takes_masked_sets_as_bitmasks(self):
+        # bit i of the mask masks equation i
+        s = parse_system("f = f | g; g = f & g;")
+        builder = PrunedBuilder(s)
+        assert builder.term(0b01, 0) == BOTTOM and builder.term(0b11, 1) == BOTTOM
+        g_under_f = builder.term(0b01, 1)
+        assert builder.dag.node(g_under_f) == Apply(1, ((0, BOTTOM), (1, BOTTOM)))
+        f_under_g = builder.term(0b10, 0)
+        assert builder.dag.node(f_under_g) == Apply(0, ((0, BOTTOM), (1, BOTTOM)))
+        assert builder.term(0, 0) != builder.term(0, 1)
 
     def test_args_cover_support_in_order(self):
         s = parse_system("a = c | b; b = a; c = 1;")

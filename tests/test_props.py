@@ -5,12 +5,13 @@ form correct; here they run against systems where the expected outcome is
 known, plus a sweep asserting no random system ever trips any of them.
 """
 
+import random
 import re
 
 import pytest
 
-from bes import props
-from bes.core import Const, System, Var, masked_iterates
+from bes import core, props
+from bes.core import Const, System, Var, masked_iterates, param_masks
 from bes.dag import build_expanded
 from bes.gen import gen_random_monotone
 from bes.text import parse_system
@@ -76,15 +77,12 @@ class TestCounterexampleMachinery:
         # dead at iterate 1 in every slice but p=q=1, so the check must
         # report the first differing coordinate of the first failing m
         system = parse_system("x = ?p & y; y = x | ?q;")
-        real = props.masked_iterates
 
-        def flipped(system, masked, m, p=(), ones=1):
-            out = real(system, masked, m, p, ones)
-            if masked == {0}:
-                out[1] = (out[1][0], out[1][1] ^ 0b0100)
-            return out
+        def flip(out, lanes, n):
+            block = lanes({0})
+            out[1] = (out[1][0], out[1][1] ^ ((block & -block) << 2))
 
-        monkeypatch.setattr(props, "masked_iterates", flipped)
+        _inject_iteration_fault(monkeypatch, _iteration_fault(flip))
         cex = props.SUITES["masking_preserves_iterates"](system)
         assert cex == props.Counterexample(
             "masking_preserves_iterates",
@@ -106,21 +104,64 @@ def _all_zeros(dag, system, p=(), ones=1):
     return [0] * len(dag)
 
 
-def _reversed_plain(system, masked, m, p=(), ones=1):
-    out = masked_iterates(system, masked, m, p, ones)
-    return out if masked else out[::-1]
+_real_iterates = core._iterates
 
 
-def _flipped_first_masked_iterate(system, masked, m, p=(), ones=1):
+def _iteration_fault(edit):
+    """A fault in masked iteration, as a stand-in for ``core._iterates``.
+
+    ``edit(out, lanes, n)`` changes the iterate table ``out`` in place;
+    ``lanes(masked)`` is the bits of the table whose masked set is exactly
+    ``masked``.  That is every bit or none in a table of ``masked_iterates``,
+    and one block of lanes in the packed table of the lane screens, so the
+    same fault reaches both.
+    """
+
+    def fake(system, live, m, p, ones):
+        out = _real_iterates(system, live, m, p, ones)
+
+        def lanes(masked):
+            got = ones
+            for i, bits in enumerate(live):
+                got &= ~bits if i in masked else bits
+            return got
+
+        edit(out, lanes, system.n)
+        return out
+
+    return fake
+
+
+def _inject_iteration_fault(monkeypatch, fake):
+    # masked_iterates reaches core._iterates, the lane screens props._iterates
+    monkeypatch.setattr(core, "_iterates", fake)
+    monkeypatch.setattr(props, "_iterates", fake)
+
+
+def _reverse_plain(out, lanes, n):
+    # the iterates of the empty masked set in reverse order
+    plain = lanes(set())
+    out[:] = [
+        tuple(v & ~plain | r & plain for v, r in zip(a, b)) for a, b in zip(out, out[::-1])
+    ]
+
+
+def _flip_first_masked_iterate(out, lanes, n):
     # slice 0 of every coordinate of iterate 1, for every non-empty masked set
-    out = masked_iterates(system, masked, m, p, ones)
-    if masked:
-        out[1] = tuple(v ^ 1 for v in out[1])
-    return out
+    flip = 0
+    for masked in props._all_subsets(n)[1:]:
+        block = lanes(masked)
+        flip |= block & -block
+    out[1] = tuple(v ^ flip for v in out[1])
 
 
-# One fault per suite, each standing in for a name ``props`` imports, and the
-# exact report on "x = ?p | ?q; y = x & ?q;".  Slices count p as bit 0, so a
+_reversed_plain = _iteration_fault(_reverse_plain)
+_flipped_first_masked_iterate = _iteration_fault(_flip_first_masked_iterate)
+
+
+# One fault per suite, each standing in for a name ``props`` imports (a
+# "masked_iterates" row: see the next table), and the exact report on
+# "x = ?p | ?q; y = x & ?q;".  Slices count p as bit 0, so a
 # failing mask of 0b1110 reports slice 1, (p, q) = (1, 0), and 0b1100 reports
 # slice 2, (0, 1); explicit parameters are reported as given.
 FAULT_TABLE = [
@@ -145,6 +186,8 @@ FAULT_TABLE = [
 
 # Faults in masked iteration itself, on the same system with parameters swept.
 # Their ids add the faked name, as "prune_le_iterate-packed" is taken above.
+# A "masked_iterates" row fakes ``_iterates``, which masked_iterates and the
+# lane screens both run, so the fault reaches the scalar tables and the lanes.
 ITERATION_FAULT_TABLE = [
     ("prune_le_iterate", "masked_iterates", _reversed_plain, None, (0, 1),
      "masked=[] equation=y: pruned term exceeds iterate bound at m=1"),
@@ -166,10 +209,212 @@ def test_each_suite_reports_its_first_failure(
 ):
     system = parse_system("x = ?p | ?q; y = x & ?q;")
     assert props.SUITES[suite](system, params) is None
-    monkeypatch.setattr(props, name, fake)
+    if name == "masked_iterates":
+        _inject_iteration_fault(monkeypatch, fake)
+    else:
+        monkeypatch.setattr(props, name, fake)
     assert props.SUITES[suite](system, params) == props.Counterexample(
         suite, system, reported, detail
     )
+
+
+def _lag_one_round(out, lanes, n):
+    out[1:] = out[:-1]
+
+
+def _flip_under_first_pinned(out, lanes, n):
+    # the last coordinate of iterate 1 in every slice of masked set {0}
+    x = list(out[1])
+    x[-1] ^= lanes({0})
+    out[1] = tuple(x)
+
+
+def _overshoot_last_round(out, lanes, n):
+    # iterate n + 1, where a table has it, reads 1 in every lane
+    if len(out) > n + 1:
+        every = 0
+        for masked in props._all_subsets(n):
+            every |= lanes(masked)
+        out[n + 1] = (every,) * n
+
+
+def _leak_pinned(out, lanes, n):
+    # every pinned equation reads 1 at iterate 1 of its masked sets
+    x = list(out[1])
+    for masked in props._all_subsets(n)[1:]:
+        for i in masked:
+            x[i] |= lanes(masked)
+    out[1] = tuple(x)
+
+
+_real_node_values = props.node_values
+
+
+def _flip_last_node(dag, system, p=(), ones=1):
+    values = _real_node_values(dag, system, p, ones)
+    values[-1] ^= ones
+    return values
+
+
+def _zero_odd_nodes(dag, system, p=(), ones=1):
+    values = _real_node_values(dag, system, p, ones)
+    return [0 if tid % 2 and tid > 1 else v for tid, v in enumerate(values)]
+
+
+# Faults that reach the scalar checks and the lane screens alike: in masked
+# iteration through ``_iterates``, in the pruned values through node_values.
+SHARED_FAULTS = {
+    "flipped-first-masked-iterate": ("_iterates", _flipped_first_masked_iterate),
+    "reversed-plain": ("_iterates", _reversed_plain),
+    "lagging-round": ("_iterates", _iteration_fault(_lag_one_round)),
+    "leaking-pinned": ("_iterates", _iteration_fault(_leak_pinned)),
+    "flipped-under-first-pinned": ("_iterates", _iteration_fault(_flip_under_first_pinned)),
+    "overshooting-last-round": ("_iterates", _iteration_fault(_overshoot_last_round)),
+    "flipped-last-node": ("node_values", _flip_last_node),
+    "zeroed-odd-nodes": ("node_values", _zero_odd_nodes),
+}
+
+
+def _inject(monkeypatch, fault):
+    name, fake = SHARED_FAULTS[fault]
+    if name == "_iterates":
+        _inject_iteration_fault(monkeypatch, fake)
+    else:
+        monkeypatch.setattr(props, name, fake)
+
+
+def _screen_corpus():
+    rng = random.Random(20049)
+    return [
+        gen_random_monotone(rng.randint(1, 5), rng.randint(0, 2), 4, rng.randrange(2**62))
+        for _ in range(300)
+    ]
+
+
+SCREEN_CORPUS = _screen_corpus()
+
+
+def _screen_verdicts(suite, systems):
+    """(scalar check fails, lane screen flags) per system.  Every other system
+    is checked under one explicit assignment, the rest with all swept; every
+    third on the masked sets without equation 0, the rest on all."""
+    screen = props._SCREENS[suite]
+    scalar = getattr(props, f"_{suite}")
+    for k, system in enumerate(systems):
+        if k % 2:
+            pbits, ones = tuple(j % 2 for j in range(system.num_params)), 1
+        else:
+            pbits, ones = param_masks(system.num_params)
+        subsets = props._all_subsets(system.n)[::2] if k % 3 == 2 else None
+        fails = next(scalar(system, pbits, ones, subsets), None) is not None
+        yield fails, screen(system, pbits, ones, subsets)
+
+
+# The pairs where the fault makes the scalar check fail on some corpus system.
+DIFFERENTIAL = [
+    ("masking_preserves_iterates", "flipped-first-masked-iterate"),
+    ("masking_preserves_iterates", "reversed-plain"),
+    ("masking_preserves_iterates", "leaking-pinned"),
+    ("masking_preserves_iterates", "flipped-under-first-pinned"),
+    ("masked_le_pruned", "flipped-first-masked-iterate"),
+    ("masked_le_pruned", "overshooting-last-round"),
+    ("masked_le_pruned", "flipped-last-node"),
+    ("masked_le_pruned", "zeroed-odd-nodes"),
+]
+
+
+class TestLaneScreens:
+    @pytest.mark.parametrize("params", [None, (1, 0)])
+    def test_lane_blocks_are_the_masked_iterates(self, params):
+        # lane block S of the packed table is the S-masked iteration
+        system = parse_system("a = ?p | b & c; b = a & ?q; c = b | c & !?p;")
+        pbits, ones = param_masks(2) if params is None else (params, 1)
+        subsets = [frozenset({2}), frozenset({0, 1})]
+        lanes = props._lanes(system, pbits, ones, subsets)
+        width = ones.bit_length()
+        assert lanes.width == width and lanes.masks == [4, 3]
+        for masked in props._all_subsets(system.n):
+            mask = props._mask(masked)
+            expected = masked_iterates(system, masked, system.n + 1, pbits, ones)
+            block = [tuple(v >> mask * width & ones for v in x) for x in lanes.table]
+            assert block == expected
+            assert lanes.given >> mask * width & ones == (ones if mask in (3, 4) else 0)
+            for i in range(system.n):
+                assert lanes.without[i] >> mask * width & ones == (0 if i in masked else ones)
+
+    @pytest.mark.parametrize("suite, fault", DIFFERENTIAL)
+    def test_screen_flags_exactly_what_the_scalar_check_reports(self, monkeypatch, suite, fault):
+        _inject(monkeypatch, fault)
+        verdicts = list(_screen_verdicts(suite, SCREEN_CORPUS))
+        assert any(fails for fails, _ in verdicts)
+        assert [fails for fails, _ in verdicts] == [flags for _, flags in verdicts]
+
+    @pytest.mark.parametrize("suite", list(props._SCREENS))
+    def test_clean_corpus_is_not_flagged(self, suite):
+        assert not any(any(v) for v in _screen_verdicts(suite, SCREEN_CORPUS))
+
+    def test_flag_the_replay_passes_raises(self, monkeypatch):
+        # a lane the scalar iteration does not share: the screen flags, the
+        # replay finds nothing, and the suite refuses to pass
+        system = parse_system("x = ?p & y; y = x | ?q;")
+        monkeypatch.setattr(props, "_iterates", _lane_flipped(props._iterates))
+        for suite in props._SCREENS:
+            with pytest.raises(RuntimeError, match=f"{suite}: the lane screen flags"):
+                props.SUITES[suite](system)
+
+
+def _lane_flipped(iterates):
+    # lane 0 (empty masked set, all parameters 0) of iterate 1, every coordinate
+    def fake(system, live, m, p, ones):
+        out = iterates(system, live, m, p, ones)
+        out[1] = tuple(v ^ 1 for v in out[1])
+        return out
+
+    return fake
+
+
+def _unmasked_lanes(iterates):
+    # the lane iteration pins nothing: x_i <- f_i(x) in every lane
+    return lambda system, live, m, p, ones: iterates(system, [ones] * len(live), m, p, ones)
+
+
+def _lanes_patched(**changes):
+    # the lane layout with some fields replaced after the iteration ran
+    def make(lanes_of):
+        def fake(system, pbits, ones, subsets):
+            lanes = lanes_of(system, pbits, ones, subsets)
+            return lanes._replace(**{k: f(lanes) for k, f in changes.items()})
+
+        return fake
+
+    return make
+
+
+# Faults in the screens alone, each made from the name it stands in for.  Each
+# must make some screen verdict on the corpus differ from the scalar check,
+# clean or under a shared fault.
+SCREEN_FAULTS = {
+    "flipped-lane": ("_iterates", _lane_flipped),
+    "unmasked-lanes": ("_iterates", _unmasked_lanes),
+    "unrestricted-comparison": ("_lanes", _lanes_patched(
+        without=lambda lanes: [-1] * len(lanes.without))),
+    "doubled-width": ("_lanes", _lanes_patched(width=lambda lanes: 2 * lanes.width)),
+    "misaligned-width": ("_lanes", _lanes_patched(width=lambda lanes: lanes.width + 1)),
+}
+
+
+@pytest.mark.parametrize("fault", list(SCREEN_FAULTS))
+@pytest.mark.parametrize("suite", list(props._SCREENS))
+def test_screen_fault_is_caught(monkeypatch, suite, fault):
+    name, make = SCREEN_FAULTS[fault]
+    for shared in (None, "flipped-first-masked-iterate"):
+        with monkeypatch.context() as patch:
+            if shared is not None:
+                _inject(patch, shared)
+            patch.setattr(props, name, make(getattr(props, name)))
+            if any(fails != flags for fails, flags in _screen_verdicts(suite, SCREEN_CORPUS)):
+                return
+    pytest.fail(f"{fault} in the {suite} screen went unnoticed")
 
 
 class TestIterateTable:
