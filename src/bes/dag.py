@@ -22,6 +22,7 @@ with roots, and a DAG is frozen exactly when it has them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from .core import (
@@ -48,6 +49,10 @@ class TermDag:
 
     Nodes are added with ``apply`` until ``freeze`` sets the roots; after
     that the table is read-only, and reading ``roots`` before it raises.
+    ``apply`` refuses an argument that is not yet in the table, so every
+    argument id is lower than its node's id.  The passes over a frozen DAG
+    rely on that rule: one sweep up the table meets every argument before
+    its node, and one sweep down meets every node before its arguments.
     """
 
     def __init__(self, arity: int):
@@ -78,6 +83,8 @@ class TermDag:
         node = Apply(func, args)
         tid = self._index.get(node)
         if tid is None:
+            if not 0 <= func < self.arity:
+                raise ValueError("equation index out of range")
             for _, arg in args:
                 if not 0 <= arg < len(self._nodes):
                     raise ValueError("argument refers to a node that does not exist yet")
@@ -90,6 +97,7 @@ class TermDag:
         """Set one root per equation and end construction; returns the DAG."""
         if self._roots is not None:
             raise RuntimeError("DAG is frozen")
+        roots = tuple(roots)  # a caller's list must not change the frozen DAG
         if len(roots) != self.arity:
             raise ValueError("need exactly one root per equation")
         if not all(0 <= r < len(self._nodes) for r in roots):
@@ -98,18 +106,20 @@ class TermDag:
         return self
 
     def reachable(self) -> list[int]:
-        """Ids reachable from the roots, ascending (hence topologically sorted)."""
-        seen = set(self.roots)
-        stack = list(self.roots)
-        while stack:
-            tid = stack.pop()
-            node = self._nodes[tid]
-            if isinstance(node, Apply):
-                for _, arg in node.args:
-                    if arg not in seen:
-                        seen.add(arg)
-                        stack.append(arg)
-        return sorted(seen)
+        """Ids reachable from the roots, ascending (hence topologically sorted).
+
+        One sweep down the table: a node is marked before the sweep reaches
+        it, since its readers all have higher ids.
+        """
+        nodes = self._nodes
+        marks = bytearray(len(nodes))
+        for root in self.roots:
+            marks[root] = 1
+        for tid in range(len(nodes) - 1, 1, -1):
+            if marks[tid]:
+                for _, arg in nodes[tid].args:
+                    marks[arg] = 1
+        return list(compress(range(len(nodes)), marks))
 
 
 def _cones(system: System) -> list[int]:
@@ -263,19 +273,24 @@ def dag_stats(dag: TermDag) -> DagStats:
     unshared tree; it is exact (arbitrary precision) since it grows
     exponentially for dense systems.
     """
-    reach = dag.reachable()
     apply_count = 0
     edge_count = 0
-    depth = {BOTTOM: 0, TOP: 0}
-    size = {BOTTOM: 1, TOP: 1}
-    for tid in reach:
-        node = dag.node(tid)
-        if not isinstance(node, Apply):
+    depth = [0] * len(dag)
+    size = [1] * len(dag)
+    for tid in dag.reachable():
+        if tid <= TOP:
             continue
+        args = dag.node(tid).args
         apply_count += 1
-        edge_count += len(node.args)
-        depth[tid] = 1 + max((depth[a] for _, a in node.args), default=-1)
-        size[tid] = 1 + sum(size[a] for _, a in node.args)
+        edge_count += len(args)
+        deepest = -1
+        total = 1
+        for _, arg in args:
+            if depth[arg] > deepest:
+                deepest = depth[arg]
+            total += size[arg]
+        depth[tid] = deepest + 1
+        size[tid] = total
     return DagStats(
         apply_count=apply_count,
         edge_count=edge_count,

@@ -37,22 +37,23 @@ def _topological(dag: TermDag) -> list[int]:
     variable order, each node listed at its first completion.
     """
     order: list[int] = []
-    done: set[int] = set()
+    done = bytearray(len(dag))
+    done[BOTTOM] = done[TOP] = 1  # leaves are never listed
     for root in dag.roots:
         stack: list[tuple[int, bool]] = [(root, False)]
         while stack:
             tid, expanded = stack.pop()
-            if tid in done or dag.is_leaf(tid):
+            if done[tid]:
                 continue
             if expanded:
-                done.add(tid)
+                done[tid] = 1
                 order.append(tid)
                 continue
             stack.append((tid, True))
             node = dag.node(tid)
             assert isinstance(node, Apply)
             for _, arg in reversed(node.args):
-                if arg not in done:
+                if not done[arg]:
                     stack.append((arg, False))
     return order
 
@@ -63,17 +64,17 @@ def to_let_text(dag: TermDag, system: System) -> str:
     Binders are named t0, t1, ... in topological order; bottom and top
     print as ``bot`` and ``top``.
     """
-    order = _topological(dag)
-    binder = {BOTTOM: "bot", TOP: "top"}
+    names = system.var_names
+    binder = ["bot", "top"] + [""] * (len(dag) - 2)
     lines = []
-    for k, tid in enumerate(order):
+    for k, tid in enumerate(_topological(dag)):
         node = dag.node(tid)
         assert isinstance(node, Apply)
         name = f"t{k}"
-        args = ", ".join(binder[a] for _, a in node.args)
-        lines.append(f"let {name} = {system.var_names[node.func]}({args}) in")
+        args = ", ".join([binder[a] for _, a in node.args])
+        lines.append(f"let {name} = {names[node.func]}({args}) in")
         binder[tid] = name
-    lines.append("(" + ", ".join(binder[r] for r in dag.roots) + ")")
+    lines.append("(" + ", ".join([binder[r] for r in dag.roots]) + ")")
     return "\n".join(lines) + "\n"
 
 
@@ -90,11 +91,12 @@ def to_sexpr(
     stats = dag_stats(dag)
     if stats.tree_size > max_tree_size:
         raise TreeSizeLimitError(stats.tree_size, max_tree_size)
-    rendered = {BOTTOM: "bot", TOP: "top"}
+    names = system.var_names
+    rendered = ["bot", "top"] + [""] * (len(dag) - 2)
     for tid in _topological(dag):
         node = dag.node(tid)
         assert isinstance(node, Apply)
-        parts = [system.var_names[node.func]] + [rendered[a] for _, a in node.args]
+        parts = [names[node.func]] + [rendered[a] for _, a in node.args]
         rendered[tid] = "(" + " ".join(parts) + ")"
     roots = [rendered[r] for r in dag.roots]
     if len(roots) == 1:
@@ -104,17 +106,18 @@ def to_sexpr(
 
 def to_dot(dag: TermDag, system: System) -> str:
     """DOT digraph: one node per reachable id, edges labeled by argument variable."""
+    names = system.var_names
     lines = ["digraph bes {"]
     reach = dag.reachable()
     for tid in reach:
         node = dag.node(tid)
-        label = node if isinstance(node, str) else system.var_names[node.func]
+        label = node if isinstance(node, str) else names[node.func]
         lines.append(f'  n{tid} [label="{label}"];')
     for tid in reach:
         node = dag.node(tid)
         if isinstance(node, Apply):
             for v, arg in node.args:
-                lines.append(f'  n{tid} -> n{arg} [label="{system.var_names[v]}"];')
+                lines.append(f'  n{tid} -> n{arg} [label="{names[v]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -136,82 +139,123 @@ class CnfFormula:
                     raise ValueError(f"literal {lit} out of range")
 
 
-class _Tseitin:
-    def __init__(self) -> None:
-        self.num_vars = 0
-        self.clauses: list[tuple[int, ...]] = []
-        self.node_map: dict[int, str] = {}
-        self._const: dict[int, int] = {}
+def _gate_list(
+    f: Formula, support: list[int], num_params: int
+) -> tuple[list[tuple[type, int, int]], int]:
+    """Post-order gate list of one equation's formula, and its output slot.
 
-    def fresh(self, note: str | None = None) -> int:
-        self.num_vars += 1
-        if note is not None:
-            self.node_map[self.num_vars] = note
-        return self.num_vars
+    Slots name the literals a node's encoding reads and writes: first the
+    node's support literals in support order, then each parameter's
+    positive and negated literal, then the gate outputs in list order.  A
+    gate is ``(And|Or, left slot, right slot)``, or ``(Const, value, 0)``
+    for a constant, whose shared variable is allocated at its first use.
+    """
+    slot_of_var = {v: k for k, v in enumerate(support)}
+    param_base = len(support)
+    gate_base = param_base + 2 * num_params
+    gates: list[tuple[type, int, int]] = []
 
-    def const_lit(self, value: int) -> int:
-        v = self._const.get(value)
-        if v is None:
-            v = self.fresh()
-            self._const[value] = v
-            self.clauses.append((v,) if value else (-v,))
-        return v
-
-    def formula(self, f: Formula, env: dict[int, int], params: list[int]) -> int:
-        """Literal equivalent to f, with env mapping variable index to a literal."""
-        if isinstance(f, Var):
-            return env[f.index]
-        if isinstance(f, Param):
-            lit = params[f.index]
-            return -lit if f.negated else lit
-        if isinstance(f, Const):
-            return self.const_lit(f.value)
-        a = self.formula(f.left, env, params)
-        b = self.formula(f.right, env, params)
-        g = self.fresh()
-        if isinstance(f, And):
-            self.clauses.extend([(-g, a), (-g, b), (g, -a, -b)])
+    def slot(g: Formula) -> int:
+        if isinstance(g, Var):
+            return slot_of_var[g.index]
+        if isinstance(g, Param):
+            return param_base + 2 * g.index + g.negated
+        if isinstance(g, Const):
+            gates.append((Const, g.value, 0))
         else:
-            self.clauses.extend([(-a, g), (-b, g), (-g, a, b)])
-        return g
+            left = slot(g.left)
+            right = slot(g.right)
+            gates.append((type(g), left, right))
+        return gate_base + len(gates) - 1
+
+    out = slot(f)
+    return gates, out
 
 
 def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
     """Tseitin encoding of the DAG with a unit clause pinning one root.
 
     Allocates one variable per parameter and per reachable node, plus one
-    per internal gate of each equation's formula.  ``query`` is (variable
-    index, bit); the result is satisfiable exactly when some parameter
-    assignment makes that root evaluate to that bit.
+    per internal gate of each equation's formula and one per constant value
+    used.  ``query`` is (variable index, bit); the result is satisfiable
+    exactly when some parameter assignment makes that root evaluate to that
+    bit.
+
+    Each equation is compiled once, at its first node, into a post-order
+    gate list over slots (see ``_gate_list``).  Every node of that equation
+    replays the list: it takes a fresh variable, fills the slots with its
+    arguments' variables and the parameter literals, gives each And/Or gate
+    the next variable and its three clauses, and ties its own variable to
+    the output slot with two clauses.
     """
     qvar, qbit = query
     if not 0 <= qvar < system.n:
         raise ValueError("query variable out of range")
     if qbit not in (0, 1):
         raise ValueError("query bit must be 0 or 1")
+    if dag.arity != system.n:
+        raise ValueError("DAG arity does not match the system")
 
-    enc = _Tseitin()
-    params = [enc.fresh(f"param {name}") for name in system.param_names]
-    node_var: dict[int, int] = {}
+    names = system.var_names
+    layouts = [list(support) for support in system.supports()]
+    num_params = len(system.param_names)
+    node_map = {k + 1: f"param {name}" for k, name in enumerate(system.param_names)}
+    param_lits = [lit for k in range(1, num_params + 1) for lit in (k, -k)]
+    gate_lists: list[tuple[list[tuple[type, int, int]], int] | None] = [None] * system.n
+    const_var: dict[int, int] = {}
+    clauses: list[tuple[int, ...]] = []
+    node_var = [0] * len(dag)
+    num_vars = num_params
     for tid in dag.reachable():
+        num_vars += 1
+        node_var[tid] = v = num_vars
         node = dag.node(tid)
-        if node == "bot":
-            v = enc.fresh(f"term {tid} bot")
-            enc.clauses.append((-v,))
-        elif node == "top":
-            v = enc.fresh(f"term {tid} top")
-            enc.clauses.append((v,))
-        else:
-            assert isinstance(node, Apply)
-            v = enc.fresh(f"term {tid} {system.var_names[node.func]}")
-            env = {varidx: node_var[arg] for varidx, arg in node.args}
-            lit = enc.formula(system.formulas[node.func], env, params)
-            enc.clauses.extend([(-v, lit), (v, -lit)])
-        node_var[tid] = v
+        if tid <= TOP:
+            node_map[v] = f"term {tid} {node}"
+            clauses.append((v,) if tid == TOP else (-v,))
+            continue
+        assert isinstance(node, Apply)
+        func = node.func
+        # one loop reads both halves of each pair: a comprehension per half
+        # costs more than this loop and the layout check together
+        arg_vars = []
+        lits = []
+        for var, arg in node.args:
+            arg_vars.append(var)
+            lits.append(node_var[arg])
+        if arg_vars != layouts[func]:
+            raise ValueError("DAG argument layout does not match the system's supports")
+        node_map[v] = f"term {tid} {names[func]}"
+        compiled = gate_lists[func]
+        if compiled is None:
+            compiled = gate_lists[func] = _gate_list(
+                system.formulas[func], layouts[func], num_params
+            )
+        gates, out = compiled
+        lits += param_lits
+        for op, a, b in gates:
+            if op is Const:
+                g = const_var.get(a)
+                if g is None:
+                    num_vars += 1
+                    g = const_var[a] = num_vars
+                    clauses.append((g,) if a else (-g,))
+                lits.append(g)
+            else:
+                x = lits[a]
+                y = lits[b]
+                num_vars += 1
+                if op is And:
+                    clauses += ((-num_vars, x), (-num_vars, y), (num_vars, -x, -y))
+                else:
+                    clauses += ((-x, num_vars), (-y, num_vars), (-num_vars, x, y))
+                lits.append(num_vars)
+        lit = lits[out]
+        clauses += ((-v, lit), (v, -lit))
 
     root = node_var[dag.roots[qvar]]
-    enc.clauses.append((root,) if qbit else (-root,))
-    return CnfFormula(enc.num_vars, tuple(enc.clauses), enc.node_map)
+    clauses.append((root,) if qbit else (-root,))
+    return CnfFormula(num_vars, tuple(clauses), node_map)
 
 
 def write_dimacs(cnf: CnfFormula) -> str:

@@ -2,7 +2,7 @@ import pytest
 
 from bes.cli import main
 from bes.core import decode_param_slice, greatest_fixpoint, kleene_lfp
-from bes.dag import build_expanded, build_pruned, eval_dag
+from bes.dag import build_expanded, build_pruned, eval_dag, with_top_leaves
 from bes.emit import CnfFormula, parse_dimacs, to_cnf, write_dimacs
 from bes.gen import gen_random_monotone
 from bes.text import format_system, parse_system
@@ -102,6 +102,34 @@ class TestToCnf:
         assert model is not None
         p = tuple(int(model[k + 1]) for k in range(s.num_params))
         assert eval_dag(dag, s, p)[0] == 1
+
+    def test_dimacs_golden(self):
+        # Variables: parameters first, then each reachable node in id order
+        # followed by its equation's gates in post-order.  A constant's one
+        # shared variable is numbered where it is first used, between the
+        # gates: 5 for the 0 in x, 9 for the 1 in y.
+        s = parse_system("x = y & 0 | ?p; y = !?q & (x | 1);")
+        dag = with_top_leaves(build_expanded(s, 1))
+        assert write_dimacs(to_cnf(dag, s, (0, 1))) == (
+            "c map 1 param p\n"
+            "c map 2 param q\n"
+            "c map 3 term 1 top\n"
+            "c map 4 term 2 x\n"
+            "c map 8 term 3 y\n"
+            "p cnf 11 20\n"
+            "3 0\n"
+            # x: 5 is the constant 0, 6 = y & 0, 7 = 6 | p, and 4 <-> 7
+            "-5 0\n"
+            "-6 3 0\n-6 5 0\n6 -3 -5 0\n"
+            "-6 7 0\n-1 7 0\n-7 6 1 0\n"
+            "-4 7 0\n4 -7 0\n"
+            # y: 9 is the constant 1, 10 = x | 1, 11 = !q & 10, and 8 <-> 11
+            "9 0\n"
+            "-3 10 0\n-9 10 0\n-10 3 9 0\n"
+            "-11 -2 0\n-11 10 0\n11 2 -10 0\n"
+            "-8 11 0\n8 -11 0\n"
+            "4 0\n"
+        )
 
 
 class TestGfpQuery:

@@ -5,6 +5,7 @@ from bes.core import decode_param_slice, kleene_lfp, tuple_le
 from bes.dag import (
     Apply,
     BOTTOM,
+    DagStats,
     PrunedBuilder,
     TOP,
     build_expanded,
@@ -262,6 +263,49 @@ class TestStats:
 
         assert dag_stats(dag).tree_size == sum(tree_size(r) for r in dag.roots)
 
+    def test_random_tables_against_a_search_oracle(self):
+        # reachable() and dag_stats sweep the table by id; a set-based
+        # search from the roots and recursive depth and size must agree
+        import random
+
+        from bes.dag import TermDag
+
+        rng = random.Random(1010)
+        for _ in range(200):
+            arity = rng.randint(1, 4)
+            dag = TermDag(arity)
+            for _ in range(rng.randint(0, 30)):
+                ids = rng.sample(range(len(dag)), min(len(dag), rng.randint(0, 3)))
+                dag.apply(rng.randrange(arity), tuple(enumerate(sorted(ids))))
+            dag.freeze(tuple(rng.randrange(len(dag)) for _ in range(arity)))
+
+            seen = set(dag.roots)
+            stack = list(seen)
+            while stack:
+                node = dag.node(stack.pop())
+                for _, arg in getattr(node, "args", ()):
+                    if arg not in seen:
+                        seen.add(arg)
+                        stack.append(arg)
+            assert dag.reachable() == sorted(seen)
+
+            def depth(tid):
+                args = getattr(dag.node(tid), "args", None)
+                if args is None:
+                    return 0
+                return 1 + max((depth(a) for _, a in args), default=-1)
+
+            def size(tid):
+                return 1 + sum(size(a) for _, a in getattr(dag.node(tid), "args", ()))
+
+            applies = [dag.node(t) for t in seen if not dag.is_leaf(t)]
+            assert dag_stats(dag) == DagStats(
+                apply_count=len(applies),
+                edge_count=sum(len(node.args) for node in applies),
+                dag_depth=max(depth(r) for r in dag.roots),
+                tree_size=sum(size(r) for r in dag.roots),
+            )
+
     @given(systems())
     @settings(max_examples=100, deadline=None)
     def test_invariants(self, s):
@@ -374,6 +418,30 @@ class TestFrozenDiscipline:
             dag.freeze((tid, BOTTOM))
         assert dag.roots == (tid, BOTTOM)
 
+    def test_freeze_keeps_its_own_roots(self):
+        # a list the caller changes after freezing must not reach the DAG
+        from bes.dag import TermDag
+
+        s = parse_system("x = x;")
+        dag = TermDag(1)
+        tid = dag.apply(0, ((0, BOTTOM),))
+        roots = [tid]
+        dag.freeze(roots)
+        roots[0] = 57
+        assert dag.roots == (tid,)
+        assert eval_dag(dag, s) == (0,)
+
+    def test_equation_index_outside_the_arity_rejected(self):
+        # eval_dag and the emitters would index the system's equations with it
+        from bes.dag import TermDag
+
+        dag = TermDag(1)
+        for func in (3, 1, -1):
+            with pytest.raises(ValueError):
+                dag.apply(func, ())
+        assert len(dag) == 2
+        assert dag.apply(0, ()) == 2
+
     def test_dag_under_construction_is_refused(self):
         from bes.dag import TermDag
         from bes.emit import to_cnf, to_dot, to_let_text, to_sexpr
@@ -405,10 +473,14 @@ class TestFrozenDiscipline:
         assert isinstance(dag.node(tid), Apply)
 
     def test_arity_mismatch_rejected(self):
+        from bes.emit import to_cnf
+
         a = parse_system("x = x;")
         b = parse_system("x = x; y = y;")
         with pytest.raises(ValueError):
             eval_dag(build_pruned(a), b)
+        with pytest.raises(ValueError):
+            to_cnf(build_pruned(a), b, (1, 1))
 
     def test_argument_ids_outside_the_table_rejected(self):
         # node_values would read a negative id as a Python index from the
@@ -424,7 +496,14 @@ class TestFrozenDiscipline:
         assert dag.apply(0, ((0, BOTTOM),)) == 2
 
     def test_support_mismatch_rejected(self):
+        # to_cnf reads each node's argument literals by position, so it must
+        # refuse a DAG of another system rather than encode it
+        from bes.emit import to_cnf
+
         a = parse_system("x = x; y = x;")
-        b = parse_system("x = x; y = y;")
-        with pytest.raises(ValueError):
-            eval_dag(build_pruned(a), b)
+        for b in ("x = x; y = y;", "x = x | ?p; y = y & ?p;", "x = x; y = x & y;"):
+            b = parse_system(b)
+            with pytest.raises(ValueError):
+                eval_dag(build_pruned(a), b)
+            with pytest.raises(ValueError):
+                to_cnf(build_pruned(a), b, (1, 1))

@@ -1,13 +1,26 @@
+import hashlib
+import random
 import re
 
 import pytest
 
-from bes.dag import build_expanded, build_pruned, dag_stats, with_top_leaves
+from bes.dag import (
+    BOTTOM,
+    TOP,
+    DagStats,
+    TermDag,
+    build_expanded,
+    build_pruned,
+    dag_stats,
+    with_top_leaves,
+)
 from bes.emit import (
     TreeSizeLimitError,
+    to_cnf,
     to_dot,
     to_let_text,
     to_sexpr,
+    write_dimacs,
 )
 from bes.gen import FamilySpec, gen_family, gen_random_monotone
 from bes.text import parse_system
@@ -135,3 +148,60 @@ class TestEmitterDeterminism:
             assert to_let_text(a, s) == to_let_text(b, s)
             assert to_sexpr(a, s, 10**7) == to_sexpr(b, s, 10**7)
             assert to_dot(a, s) == to_dot(b, s)
+
+    def test_corpus_digest_is_unchanged(self):
+        # Every emitter on 200 seeded systems, three DAGs each; the digest
+        # pins the bytes, 178 of the systems use a constant
+        rng = random.Random(2004)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            s = gen_random_monotone(n, rng.randint(0, 3), 4, rng.randrange(2**32))
+            for dag in (build_pruned(s), build_expanded(s), with_top_leaves(build_expanded(s, 2))):
+                for text in (repr(dag_stats(dag)), to_let_text(dag, s), to_dot(dag, s), to_sexpr(dag, s)):
+                    digest.update(text.encode())
+                for v in range(s.n):
+                    for bit in (0, 1):
+                        digest.update(write_dimacs(to_cnf(dag, s, (v, bit))).encode())
+        assert digest.hexdigest() == (
+            "13c18d82bf895b43aa1a9bde0a354486e17e15f1cfb8261f699a76535c1c4d17"
+        )
+
+
+class TestUnreachableNodes:
+    """A hand-built table whose unreachable nodes sit between reachable ones."""
+
+    SYSTEM = "x = y | ?p; y = x & y;"
+
+    def dag(self):
+        dag = TermDag(2)
+        shared = dag.apply(1, ((0, BOTTOM), (1, TOP)))       # 2, read by 3 and 5
+        x = dag.apply(0, ((1, shared),))                     # 3, root x
+        dead_x = dag.apply(0, ((1, TOP),))                   # 4
+        y = dag.apply(1, ((0, x), (1, shared)))              # 5, root y
+        dag.apply(1, ((0, dead_x), (1, dead_x)))             # 6
+        return dag.freeze((x, y))
+
+    def test_reachable_and_stats_skip_them(self):
+        dag = self.dag()
+        assert dag.reachable() == [BOTTOM, TOP, 2, 3, 5]
+        # depths 1, 2, 3; unshared sizes 3, 4 and 1 + 4 + 3
+        assert dag_stats(dag) == DagStats(apply_count=3, edge_count=5, dag_depth=3, tree_size=12)
+
+    def test_emitters_mention_only_reachable_ids(self):
+        s = parse_system(self.SYSTEM)
+        dag = self.dag()
+        nodes, edges = check_dot(to_dot(dag, s))
+        assert nodes == {BOTTOM, TOP, 2, 3, 5}
+        assert sorted(edges) == [(2, BOTTOM), (2, TOP), (3, 2), (5, 2), (5, 3)]
+        assert to_let_text(dag, s) == (
+            "let t0 = y(bot, top) in\n"
+            "let t1 = x(t0) in\n"
+            "let t2 = y(t1, t0) in\n"
+            "(t1, t2)\n"
+        )
+        cnf = to_cnf(dag, s, (1, 1))
+        terms = [note.split()[1] for note in cnf.node_map.values() if note.startswith("term")]
+        assert terms == ["0", "1", "2", "3", "5"]
+        # one parameter, five nodes and one gate per application
+        assert cnf.num_vars == 1 + 5 + 3
