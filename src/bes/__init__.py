@@ -22,10 +22,8 @@ from .core import (
     greatest_fixpoint,
     kleene_lfp,
     masked_iterates,
-    step,
     substitute_var,
     support,
-    tuple_le,
 )
 from .dag import (
     Apply,
@@ -89,14 +87,12 @@ __all__ = [
     "masked_iterates",
     "parse_dimacs",
     "parse_system",
-    "step",
     "substitute_var",
     "support",
     "to_cnf",
     "to_dot",
     "to_let_text",
     "to_sexpr",
-    "tuple_le",
     "with_top_leaves",
     "write_dimacs",
 ]

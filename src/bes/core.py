@@ -183,19 +183,6 @@ def _check_params(system: System, p: ParamAssignment, ones: int) -> None:
             )
 
 
-def step(system: System, x: Valuation, p: ParamAssignment = (), ones: int = 1) -> Valuation:
-    """One parallel application of all equations to x."""
-    _check_params(system, p, ones)
-    return tuple(eval_formula(f, x, p, ones) for f in system.formulas)
-
-
-def tuple_le(x: Valuation, y: Valuation) -> bool:
-    """Componentwise order on 0/1 valuations."""
-    if len(x) != len(y):
-        raise ValueError("valuations of different length are incomparable")
-    return all(a <= b for a, b in zip(x, y))
-
-
 def _changing_rounds(
     system: System, x: list[int], live: Sequence[int], p: ParamAssignment, ones: int
 ) -> Iterator[None]:

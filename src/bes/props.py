@@ -7,21 +7,24 @@ an explicit assignment it checks that one; with ``params=None`` it sweeps
 every assignment at once using packed bitmasks (one bit per assignment), so
 a single pass covers all 2**P parameter choices, and it reports the lowest
 failing assignment.  ``subsets`` samples the masked sets of the suites that
-range over them (an index outside 0..n-1 raises ValueError); by default a
-system of up to 14 equations has all swept.  A suite evaluates no equation
-itself: for i outside a masked set S, f_i(x^m_S) is coordinate i of the
-S-masked iterate m + 1, and the pruned side comes from ``node_values``.
+range over them, in a list that may repeat a set (an index outside 0..n-1
+raises ValueError); by default a system of up to 14 equations has all swept.
+A suite evaluates no equation itself: for i outside a masked set S,
+f_i(x^m_S) is coordinate i of the S-masked iterate m + 1, and the pruned side
+comes from ``node_values``.
 
-Up to 14 equations, the two suites that compare masked iterates set by set,
-``masking_preserves_iterates`` and ``masked_le_pruned``, first run a lane
-screen.  One packed iteration gives every masked iterate of every masked set:
-lane S*W + j holds set S (as a bitmask) under parameter assignment j, W being
-the width of the parameter sweep, and x_i <- f_i(x) is masked to the lanes
-whose set lacks i.  A system the screen passes returns None; one it flags is
-replayed by the scalar check, which builds the Counterexample, so every
-report is the scalar one.  A flag the replay does not confirm raises
-RuntimeError.  ``prune_le_iterate`` needs only the plain iterates and stays
-scalar.
+The two suites that compare masked iterates set by set,
+``masking_preserves_iterates`` and ``masked_le_pruned``, run every given set
+at once in the lanes of one int.  Block k holds the k-th set in list order,
+one lane per parameter assignment, and x_i <- f_i(x) is masked to the blocks
+whose set lacks i, so one packed iteration gives every masked iterate of
+every set.  ``masking_preserves_iterates`` runs it once more per equation i
+with i pinned in every block: block k of that run is the S_k + {i}-masked
+iteration, compared with block k of the first.  A failing comparison sets
+lanes; the lowest one lies in the block of the first failing set, and the
+report is decoded from that block's iterates in the order of the
+comparisons, then the lowest failing slice.  ``prune_le_iterate`` and
+``zero_prefix`` need only the plain iterates.
 
 The suites:
 
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -111,14 +114,14 @@ def _mask(masked: IndexSet) -> int:
 
 
 def _pruned_term_values(
-    system: System, pbits: Sequence[int], ones: int, masks: list[int]
+    system: System, pbits: Sequence[int], ones: int, subs: list[IndexSet]
 ) -> list[list[int]]:
-    """Value of the pruned (S, i) subterm for every given masked set S (as a
-    bitmask) and every equation i, in one shared DAG; row k belongs to masks[k]."""
+    """Value of the pruned (S, i) subterm for every given masked set S and
+    every equation i, in one shared DAG; row k belongs to subs[k]."""
     builder = PrunedBuilder(system)
     term = builder.term
     equations = range(system.n)
-    tids = [[term(mask, i) for i in equations] for mask in masks]
+    tids = [[term(mask, i) for i in equations] for mask in map(_mask, subs)]
     values = node_values(builder.dag, system, pbits, ones)
     return [[values[tid] for tid in row] for row in tids]
 
@@ -155,7 +158,7 @@ def _prune_le_iterate(system, pbits, ones, subsets):
     """
     n = system.n
     subs = [s for s in _subsets(system, subsets) if len(s) < n]
-    values = _pruned_term_values(system, pbits, ones, [_mask(s) for s in subs])
+    values = _pruned_term_values(system, pbits, ones, subs)
     plain = masked_iterates(system, frozenset(), n + 1, pbits, ones)
     for masked, row in zip(subs, values):
         m = n - len(masked) - 1
@@ -184,155 +187,160 @@ def _zero_prefix(system, pbits, ones, subsets):
                     )
 
 
+class _Lanes(NamedTuple):
+    """The given masked sets side by side in the lanes of one int.
+
+    Block k, the W = ``width`` lanes from k*W, belongs to ``sets[k]``, in the
+    order given, and lane k*W + j to parameter assignment j in it.
+    ``without[i]`` is the lanes of the blocks whose set lacks i, ``pbits`` the
+    parameter masks repeated in every block and ``every`` all the lanes.
+    ``table[m][i]`` is coordinate i of iterate m, for m = 0 .. n + 1, of the
+    iteration x_i <- f_i(x) & without[i]: its block k is the sets[k]-masked
+    iteration.
+    """
+
+    sets: list[IndexSet]
+    width: int
+    every: int
+    pbits: tuple[int, ...]
+    without: list[int]
+    table: list[Valuation]
+
+
+def _blocks(values: Sequence[int], width: int) -> int:
+    """The lane int whose block k holds the width-bit int values[k].
+
+    Long lists are split in halves that are joined by one shift, so each level
+    of halving copies the lanes once.  Shifting every block in one at a time,
+    as short lists do, copies them once per block: quadratic in the lanes.
+    """
+    if len(values) > 64:
+        half = len(values) // 2
+        return _blocks(values[half:], width) << half * width | _blocks(values[:half], width)
+    out = 0
+    for v in reversed(values):
+        out = out << width | v
+    return out
+
+
+def _lanes(
+    system: System, pbits: Sequence[int], ones: int, subsets: Iterable[IndexSet] | None
+) -> _Lanes:
+    """Lay the given masked sets out in lanes and iterate them all at once."""
+    sets = _subsets(system, subsets)
+    width = ones.bit_length()
+    without = [_blocks([0 if i in s else ones for s in sets], width) for i in range(system.n)]
+    repeated = tuple(_blocks([bits] * len(sets), width) for bits in pbits)
+    every = (1 << len(sets) * width) - 1
+    table = _iterates(system, without, system.n + 1, repeated, every)
+    return _Lanes(sets, width, every, repeated, without, table)
+
+
+def _pinned_run(system: System, lanes: _Lanes, i: int) -> list[Valuation]:
+    """The lane iteration with equation i pinned in every block as well, so
+    that its block k is the sets[k] + {i}-masked iteration."""
+    live = list(lanes.without)
+    live[i] = 0
+    return _iterates(system, live, system.n + 1, lanes.pbits, lanes.every)
+
+
+def _block(table: list[Valuation], k: int, width: int) -> list[Valuation]:
+    """Block k of a lane table, as iterates of width-bit ints."""
+    shift, ones = k * width, (1 << width) - 1
+    return [tuple(v >> shift & ones for v in x) for x in table]
+
+
+def _first_flag(flags: list[int], width: int) -> tuple[int, int] | None:
+    """(k, i): the first block k with a lane set in some flags[i], and the
+    first such i; None when no lane is set anywhere."""
+    lowest = [(f & -f).bit_length() - 1 for f in flags if f]
+    if not lowest:
+        return None
+    k = min(lowest) // width
+    ones = (1 << width) - 1
+    return k, next(i for i, f in enumerate(flags) if f >> k * width & ones)
+
+
+def _dead_after_change(
+    base: list[Valuation], pinned: list[Valuation], i: int, keep: int
+) -> Iterator[int]:
+    """For m = 0 .. n, the lanes of ``keep`` where f_i is 0 at base iterate m
+    (coordinate i of iterate m + 1) while iterates 0 .. m of base and pinned
+    differ somewhere."""
+    diff = 0
+    for m in range(len(base) - 1):
+        for a, b in zip(base[m], pinned[m]):
+            diff |= a ^ b
+        yield diff & ~base[m + 1][i] & keep
+
+
 def _masking_preserves_iterates(system, pbits, ones, subsets):
     """Pinning a dead equation to 0 leaves earlier masked iterates unchanged.
 
     If f_i evaluates to 0 at the m-th iterate masked by S, then masking
-    S and masking S + {i} produce identical iterates up to m.
+    S and masking S + {i} produce identical iterates up to m.  The lane
+    iteration and the one with i pinned are compared block for block, in the
+    blocks whose set lacks i, and the first violation is decoded in its block.
     """
     n = system.n
-    iterates: dict[IndexSet, list[Valuation]] = {}
-
-    def iters(masked: IndexSet) -> list[Valuation]:
-        got = iterates.get(masked)
-        if got is None:
-            got = masked_iterates(system, masked, n + 1, pbits, ones)
-            iterates[masked] = got
-        return got
-
-    for masked in _subsets(system, subsets):
-        base = iters(masked)
-        for i in range(n):
-            if i in masked:
-                continue
-            pinned = iters(masked | {i})
-            diff = 0  # slices where iterates 0..m of S and S + {i} differ anywhere
-            for m in range(n + 1):
-                for a, b in zip(base[m], pinned[m]):
-                    diff |= a ^ b
-                dead = ~base[m + 1][i] & ones
-                if not diff & dead:
-                    continue
-                for p in range(m + 1):
-                    for j in range(n):
-                        bad = (base[p][j] ^ pinned[p][j]) & dead
-                        if bad:
-                            yield bad, (
-                                f"masked={sorted(masked)} pinned={system.var_names[i]}: "
-                                f"iterate {p} differs at {system.var_names[j]} (m={m})"
-                            )
+    lanes = _lanes(system, pbits, ones, subsets)
+    base, width = lanes.table, lanes.width
+    flags = [
+        reduce(or_, _dead_after_change(base, _pinned_run(system, lanes, i), i, lanes.without[i]))
+        for i in range(n)
+    ]
+    found = _first_flag(flags, width)
+    if found is None:
+        return
+    k, i = found
+    base, pinned = _block(base, k, width), _block(_pinned_run(system, lanes, i), k, width)
+    # keep -1: every lane of the block
+    m = next(m for m, dead in enumerate(_dead_after_change(base, pinned, i, -1)) if dead)
+    dead = ~base[m + 1][i]
+    for p in range(m + 1):
+        for j in range(n):
+            bad = (base[p][j] ^ pinned[p][j]) & dead
+            if bad:
+                yield bad, (
+                    f"masked={sorted(lanes.sets[k])} pinned={system.var_names[i]}: "
+                    f"iterate {p} differs at {system.var_names[j]} (m={m})"
+                )
+                return
 
 
 def _masked_le_pruned(system, pbits, ones, subsets):
     """An equation applied to a masked iterate never exceeds its pruned term.
 
     For every masked set S, equation i outside S, and 0 <= m <= n - |S|,
-    f_i at the m-th S-masked iterate is at most the pruned (S, i) term.
-    """
-    n = system.n
-    subs = _subsets(system, subsets)
-    values = _pruned_term_values(system, pbits, ones, [_mask(s) for s in subs])
-    for masked, row in zip(subs, values):
-        upto = n - len(masked)
-        masked_iter = masked_iterates(system, masked, upto + 1, pbits, ones)
-        for i in range(n):
-            if i in masked:
-                continue  # pinned side is constant 0, trivially bounded
-            for m in range(upto + 1):
-                lhs = masked_iter[m + 1][i]
-                bad = lhs & ~row[i] & ones
-                if bad:
-                    yield bad, (
-                        f"masked={sorted(masked)} equation={system.var_names[i]} m={m}: "
-                        f"masked application exceeds the pruned term"
-                    )
-
-
-class _Lanes(NamedTuple):
-    """Every masked iterate of every masked set, packed into the lanes of one int.
-
-    Lane S*W + j holds masked set S (as a bitmask) under parameter
-    assignment j, where W = ``width`` is the width of the parameter sweep.
-    ``table[m][i]`` is coordinate i of iterate m in every lane; ``without[i]``
-    is the lanes whose set lacks i, ``given`` those of the sets passed in, and
-    ``masks`` are the given sets as bitmasks, in the order passed.
-    """
-
-    masks: list[int]
-    table: list[Valuation]
-    width: int
-    without: list[int]
-    given: int
-
-
-def _lanes(
-    system: System, pbits: Sequence[int], ones: int, subsets: Iterable[IndexSet] | None
-) -> _Lanes:
-    """One packed iteration, x_i <- f_i(x) & without[i], for all 2**n masked sets.
-
-    The parameter masks repeat once per set, and iterates 0 .. n + 1 are kept,
-    as the suites ask for them.
-    """
-    n = system.n
-    masks = [_mask(s) for s in _subsets(system, subsets)]
-    width = ones.bit_length()
-    every = (1 << (width << n)) - 1
-    # Bit i of S is 0 in the low half of each run of 2**(i+1) blocks.
-    without = [
-        ((1 << (width << i)) - 1) * (every // ((1 << (width << (i + 1))) - 1))
-        for i in range(n)
-    ]
-    given = 0
-    for mask in masks:
-        given |= ones << mask * width
-    repeat = every // ones
-    table = _iterates(system, without, n + 1, [b * repeat for b in pbits], every)
-    return _Lanes(masks, table, width, without, given)
-
-
-def _masking_preserves_iterates_screen(system, pbits, ones, subsets) -> bool:
-    """Whether ``_masking_preserves_iterates`` can fail, from one packed run.
-
-    The S + {i} lane of a set S without i lies 2**i * W lanes above it.
-    """
-    lanes = _lanes(system, pbits, ones, subsets)
-    table = lanes.table
-    for i in range(system.n):
-        shift = lanes.width << i
-        keep = lanes.without[i] & lanes.given
-        diff = 0  # lanes where iterates 0..m of S and S + {i} differ anywhere
-        for m in range(system.n + 1):
-            for v in table[m]:
-                diff |= v ^ v >> shift
-            if diff & ~table[m + 1][i] & keep:
-                return True
-    return False
-
-
-def _masked_le_pruned_screen(system, pbits, ones, subsets) -> bool:
-    """Whether ``_masked_le_pruned`` can fail, from one packed run.
-
-    The pruned (S, i) values go into lane block S; iterate m + 1 is compared
-    in the lanes of the sets with at most n - m members.
+    f_i at the m-th S-masked iterate is at most the pruned (S, i) term.  The
+    pruned values go into the lanes of their set's block, and iterate m + 1
+    is compared in the blocks of the sets with at most n - m members.
     """
     n = system.n
     lanes = _lanes(system, pbits, ones, subsets)
-    width = lanes.width
-    values = _pruned_term_values(system, pbits, ones, lanes.masks)
-    sized = [ones]  # sized[k]: the lanes of the sets of k members
-    for i in range(n):
-        sized = [lo | hi << (width << i) for lo, hi in zip(sized + [0], [0] + sized)]
-    at_most = list(accumulate(sized, or_))  # at_most[k]: the sets of at most k members
-    bounds = [0] * n  # bounds[i]: the pruned (S, i) values, in lane block S
-    for mask, row in zip(lanes.masks, values):
-        for i, value in enumerate(row):
-            bounds[i] |= value << mask * width
-    for i in range(n):
-        exceeds = ~bounds[i] & lanes.without[i] & lanes.given
-        for m in range(n + 1):
-            if lanes.table[m + 1][i] & exceeds & at_most[n - m]:
-                return True
-    return False
+    table, width = lanes.table, lanes.width
+    values = _pruned_term_values(system, pbits, ones, lanes.sets)
+    sizes = [len(s) for s in lanes.sets]
+    at_most = [_blocks([ones if size <= c else 0 for size in sizes], width) for c in range(n + 1)]
+
+    def exceeding(i: int) -> list[int]:
+        # for m = 0 .. n, the lanes where f_i at iterate m exceeds the pruned term
+        above = ~_blocks([row[i] for row in values], width) & lanes.without[i]
+        return [table[m + 1][i] & above & at_most[n - m] for m in range(n + 1)]
+
+    found = _first_flag([reduce(or_, exceeding(i)) for i in range(n)], width)
+    if found is None:
+        return
+    k, i = found
+    shift, block = k * width, (1 << width) - 1
+    for m, lanes_at_m in enumerate(exceeding(i)):
+        bad = lanes_at_m >> shift & block
+        if bad:
+            yield bad, (
+                f"masked={sorted(lanes.sets[k])} equation={system.var_names[i]} m={m}: "
+                f"masked application exceeds the pruned term"
+            )
+            return
 
 
 def _self_substitution(system, pbits, ones, subsets):
@@ -365,19 +373,12 @@ def _memo_keys(system, pbits, ones, subsets):
 Check = Callable[..., Counterexample | None]
 
 
-def _suite(
-    name: str,
-    violations: Callable[..., Iterator[tuple[int, str]]],
-    screen: Callable[..., bool] | None = None,
-) -> Check:
+def _suite(name: str, violations: Callable[..., Iterator[tuple[int, str]]]) -> Check:
     """The check that reports the first of ``violations`` as a Counterexample.
 
     ``violations(system, pbits, ones, subsets)`` yields ``(bad, detail)`` for
     each failing comparison, ``bad`` holding one bit per failing parameter
-    slice; the lowest slice is decoded when every assignment is swept.  A
-    ``screen`` with the same arguments says whether any comparison can fail;
-    up to ``_MAX_EXHAUSTIVE_N`` equations it runs first, and ``violations``
-    is replayed only on a system it flags, which must then fail.
+    slice; the lowest slice is decoded when every assignment is swept.
     """
 
     def check(
@@ -390,27 +391,17 @@ def _suite(
         else:
             _check_params(system, params, 1)
             pbits, ones = params, 1
-        screened = screen is not None and system.n <= _MAX_EXHAUSTIVE_N
-        if screened and not screen(system, pbits, ones, subsets):
-            return None
         for bad, detail in violations(system, pbits, ones, subsets):
             if params is None:
                 params = decode_param_slice(system.num_params, (bad & -bad).bit_length() - 1)
             return Counterexample(name, system, params, detail)
-        if screened:
-            raise RuntimeError(f"{name}: the lane screen flags a system the scalar check passes")
         return None
 
     return check
 
 
-_SCREENS: dict[str, Callable[..., bool]] = {
-    "masking_preserves_iterates": _masking_preserves_iterates_screen,
-    "masked_le_pruned": _masked_le_pruned_screen,
-}
-
 SUITES: dict[str, Check] = {
-    v.__name__[1:]: _suite(v.__name__[1:], v, _SCREENS.get(v.__name__[1:]))
+    v.__name__[1:]: _suite(v.__name__[1:], v)
     for v in (
         _equality,
         _pruned_le_expanded,

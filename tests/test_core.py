@@ -14,10 +14,8 @@ from bes.core import (
     kleene_lfp,
     masked_iterates,
     param_masks,
-    step,
     substitute_var,
     support,
-    tuple_le,
 )
 from bes.gen import gen_random_monotone
 from bes.text import parse_system
@@ -39,6 +37,18 @@ def all_valuations(n):
 
 def all_params(np):
     return [tuple((m >> k) & 1 for k in range(np)) for m in range(1 << np)]
+
+
+def step(s, x, p=(), ones=1):
+    """One parallel application of all equations to x."""
+    return tuple(eval_formula(f, x, p, ones) for f in s.formulas)
+
+
+def tuple_le(x, y):
+    """Componentwise order on valuations of one length."""
+    if len(x) != len(y):
+        raise ValueError("valuations of different length are incomparable")
+    return all(a <= b for a, b in zip(x, y))
 
 
 class TestEvalFormula:
@@ -145,7 +155,6 @@ class TestParameterLength:
 
         calls = {
             "kleene_lfp": lambda: kleene_lfp(s, p, ones),
-            "step": lambda: step(s, (0,) * s.n, p, ones),
             "masked_iterates": lambda: masked_iterates(s, frozenset(), 2, p, ones),
             "masked_iterates m=0": lambda: masked_iterates(s, frozenset(), 0, p, ones),
             "node_values": lambda: node_values(build_pruned(s), s, p, ones),
@@ -474,8 +483,7 @@ DEFINED = {
     "core": {
         "And", "Const", "NonMonotoneError", "Or", "Param", "System", "Var",
         "decode_param_slice", "eval_formula", "greatest_fixpoint", "kleene_lfp",
-        "masked_iterates", "param_masks", "step", "substitute_var", "support",
-        "tuple_le",
+        "masked_iterates", "param_masks", "substitute_var", "support",
     },
     "dag": {
         "Apply", "DagStats", "PrunedBuilder", "TermDag", "build_expanded",

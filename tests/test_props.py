@@ -7,11 +7,13 @@ known, plus a sweep asserting no random system ever trips any of them.
 
 import random
 import re
+import time
 
 import pytest
 
+import masked_oracle
 from bes import core, props
-from bes.core import Const, System, Var, masked_iterates, param_masks
+from bes.core import Const, System, Var, decode_param_slice, masked_iterates, param_masks
 from bes.dag import build_expanded
 from bes.gen import gen_random_monotone
 from bes.text import parse_system
@@ -78,9 +80,8 @@ class TestCounterexampleMachinery:
         # report the first differing coordinate of the first failing m
         system = parse_system("x = ?p & y; y = x | ?q;")
 
-        def flip(out, lanes, n):
-            block = lanes({0})
-            out[1] = (out[1][0], out[1][1] ^ ((block & -block) << 2))
+        def flip(out, lanes, live):
+            out[1] = (out[1][0], out[1][1] ^ lanes({0}, 2))
 
         _inject_iteration_fault(monkeypatch, _iteration_fault(flip))
         cex = props.SUITES["masking_preserves_iterates"](system)
@@ -110,48 +111,51 @@ _real_iterates = core._iterates
 def _iteration_fault(edit):
     """A fault in masked iteration, as a stand-in for ``core._iterates``.
 
-    ``edit(out, lanes, n)`` changes the iterate table ``out`` in place;
-    ``lanes(masked)`` is the bits of the table whose masked set is exactly
-    ``masked``.  That is every bit or none in a table of ``masked_iterates``,
-    and one block of lanes in the packed table of the lane screens, so the
-    same fault reaches both.
+    ``edit(out, lanes, live)`` changes the iterate table ``out`` in place;
+    a bit where ``live[i]`` is 0 has equation i pinned.  ``lanes(masked, j)``
+    is the bits of the table whose masked set is exactly ``masked`` (any set
+    if None) and, if j is given, whose parameters read assignment j.  Both
+    speak of single bits, so the fault acts alike on a table of
+    ``masked_iterates`` and on the lanes of ``props``, whatever sets they
+    hold and in whatever order.
     """
 
     def fake(system, live, m, p, ones):
         out = _real_iterates(system, live, m, p, ones)
 
-        def lanes(masked):
+        def lanes(masked=None, j=None):
             got = ones
-            for i, bits in enumerate(live):
-                got &= ~bits if i in masked else bits
+            if masked is not None:
+                for i, bits in enumerate(live):
+                    got &= ~bits if i in masked else bits
+            if j is not None:
+                for k, bits in enumerate(p):
+                    got &= bits if j >> k & 1 else ~bits
             return got
 
-        edit(out, lanes, system.n)
+        edit(out, lanes, live)
         return out
 
     return fake
 
 
 def _inject_iteration_fault(monkeypatch, fake):
-    # masked_iterates reaches core._iterates, the lane screens props._iterates
+    # masked_iterates reaches core._iterates, the lane suites props._iterates
     monkeypatch.setattr(core, "_iterates", fake)
     monkeypatch.setattr(props, "_iterates", fake)
 
 
-def _reverse_plain(out, lanes, n):
+def _reverse_plain(out, lanes, live):
     # the iterates of the empty masked set in reverse order
-    plain = lanes(set())
+    plain = lanes(frozenset())
     out[:] = [
         tuple(v & ~plain | r & plain for v, r in zip(a, b)) for a, b in zip(out, out[::-1])
     ]
 
 
-def _flip_first_masked_iterate(out, lanes, n):
+def _flip_first_masked_iterate(out, lanes, live):
     # slice 0 of every coordinate of iterate 1, for every non-empty masked set
-    flip = 0
-    for masked in props._all_subsets(n)[1:]:
-        block = lanes(masked)
-        flip |= block & -block
+    flip = lanes(j=0) & ~lanes(frozenset())
     out[1] = tuple(v ^ flip for v in out[1])
 
 
@@ -187,7 +191,7 @@ FAULT_TABLE = [
 # Faults in masked iteration itself, on the same system with parameters swept.
 # Their ids add the faked name, as "prune_le_iterate-packed" is taken above.
 # A "masked_iterates" row fakes ``_iterates``, which masked_iterates and the
-# lane screens both run, so the fault reaches the scalar tables and the lanes.
+# lane suites both run, so the fault reaches the plain iterates and the lanes.
 ITERATION_FAULT_TABLE = [
     ("prune_le_iterate", "masked_iterates", _reversed_plain, None, (0, 1),
      "masked=[] equation=y: pruned term exceeds iterate bound at m=1"),
@@ -218,33 +222,27 @@ def test_each_suite_reports_its_first_failure(
     )
 
 
-def _lag_one_round(out, lanes, n):
+def _lag_one_round(out, lanes, live):
     out[1:] = out[:-1]
 
 
-def _flip_under_first_pinned(out, lanes, n):
+def _flip_under_first_pinned(out, lanes, live):
     # the last coordinate of iterate 1 in every slice of masked set {0}
     x = list(out[1])
     x[-1] ^= lanes({0})
     out[1] = tuple(x)
 
 
-def _overshoot_last_round(out, lanes, n):
+def _overshoot_last_round(out, lanes, live):
     # iterate n + 1, where a table has it, reads 1 in every lane
+    n = len(live)
     if len(out) > n + 1:
-        every = 0
-        for masked in props._all_subsets(n):
-            every |= lanes(masked)
-        out[n + 1] = (every,) * n
+        out[n + 1] = (lanes(),) * n
 
 
-def _leak_pinned(out, lanes, n):
-    # every pinned equation reads 1 at iterate 1 of its masked sets
-    x = list(out[1])
-    for masked in props._all_subsets(n)[1:]:
-        for i in masked:
-            x[i] |= lanes(masked)
-    out[1] = tuple(x)
+def _leak_pinned(out, lanes, live):
+    # every pinned equation reads 1 at iterate 1 wherever it is pinned
+    out[1] = tuple(v | lanes() & ~bits for v, bits in zip(out[1], live))
 
 
 _real_node_values = props.node_values
@@ -261,8 +259,8 @@ def _zero_odd_nodes(dag, system, p=(), ones=1):
     return [0 if tid % 2 and tid > 1 else v for tid, v in enumerate(values)]
 
 
-# Faults that reach the scalar checks and the lane screens alike: in masked
-# iteration through ``_iterates``, in the pruned values through node_values.
+# Faults that reach the oracle and the lane suites alike: in masked iteration
+# through ``_iterates``, in the pruned values through node_values.
 SHARED_FAULTS = {
     "flipped-first-masked-iterate": ("_iterates", _flipped_first_masked_iterate),
     "reversed-plain": ("_iterates", _reversed_plain),
@@ -283,34 +281,67 @@ def _inject(monkeypatch, fault):
         monkeypatch.setattr(props, name, fake)
 
 
-def _screen_corpus():
+LANE_SUITES = ["masking_preserves_iterates", "masked_le_pruned"]
+
+
+def _corpus_cases():
+    """(system, params, subsets) for 300 small random systems: every other one
+    under one explicit assignment, the rest with all swept; every third on the
+    masked sets without equation 0, the rest on all."""
     rng = random.Random(20049)
-    return [
-        gen_random_monotone(rng.randint(1, 5), rng.randint(0, 2), 4, rng.randrange(2**62))
-        for _ in range(300)
-    ]
-
-
-SCREEN_CORPUS = _screen_corpus()
-
-
-def _screen_verdicts(suite, systems):
-    """(scalar check fails, lane screen flags) per system.  Every other system
-    is checked under one explicit assignment, the rest with all swept; every
-    third on the masked sets without equation 0, the rest on all."""
-    screen = props._SCREENS[suite]
-    scalar = getattr(props, f"_{suite}")
-    for k, system in enumerate(systems):
-        if k % 2:
-            pbits, ones = tuple(j % 2 for j in range(system.num_params)), 1
-        else:
-            pbits, ones = param_masks(system.num_params)
+    for k in range(300):
+        system = gen_random_monotone(
+            rng.randint(1, 5), rng.randint(0, 2), 4, rng.randrange(2**62)
+        )
+        params = tuple(j % 2 for j in range(system.num_params)) if k % 2 else None
         subsets = props._all_subsets(system.n)[::2] if k % 3 == 2 else None
-        fails = next(scalar(system, pbits, ones, subsets), None) is not None
-        yield fails, screen(system, pbits, ones, subsets)
+        yield system, params, subsets
 
 
-# The pairs where the fault makes the scalar check fail on some corpus system.
+def _sampled_sets(n, seed):
+    # 64 masked sets, drawn as ``bes verify`` draws them above 14 equations
+    rng = random.Random(seed)
+    return [frozenset(i for i in range(n) if rng.random() < 0.5) for _ in range(64)]
+
+
+def _repeated_shuffled_sets(n, seed):
+    # every masked set, about half of them twice, in no particular order
+    rng = random.Random(seed)
+    sets = props._all_subsets(n)
+    sets += rng.sample(sets, len(sets) // 2 + 1)
+    rng.shuffle(sets)
+    return sets
+
+
+CORPUS_CASES = list(_corpus_cases())
+WIDE_CASES = [
+    (gen_random_monotone(n, n % 3, 3, n), None, _sampled_sets(n, n)) for n in range(15, 21)
+]
+SHUFFLED_CASES = [
+    (system, params, _repeated_shuffled_sets(system.n, k))
+    for k, (system, params, _) in enumerate(CORPUS_CASES[:60])
+]
+CASES = CORPUS_CASES + WIDE_CASES + SHUFFLED_CASES
+
+
+def _oracle_reports(suite, cases):
+    """Per case, the Counterexample a suite builds from the oracle's first violation."""
+    reports = []
+    for system, params, subsets in cases:
+        pbits, ones = param_masks(system.num_params) if params is None else (params, 1)
+        violations = getattr(masked_oracle, suite)(system, pbits, ones, subsets)
+        bad, detail = next(violations, (None, None))
+        if bad is not None and params is None:
+            params = decode_param_slice(system.num_params, (bad & -bad).bit_length() - 1)
+        reports.append(None if bad is None else props.Counterexample(suite, system, params, detail))
+    return reports
+
+
+def _suite_reports(suite, cases):
+    return [props.SUITES[suite](*case) for case in cases]
+
+
+# The pairs where the fault makes the oracle fail on some corpus system.
 DIFFERENTIAL = [
     ("masking_preserves_iterates", "flipped-first-masked-iterate"),
     ("masking_preserves_iterates", "reversed-plain"),
@@ -323,63 +354,62 @@ DIFFERENTIAL = [
 ]
 
 
-class TestLaneScreens:
+class TestLanes:
     @pytest.mark.parametrize("params", [None, (1, 0)])
-    def test_lane_blocks_are_the_masked_iterates(self, params):
-        # lane block S of the packed table is the S-masked iteration
+    def test_blocks_are_the_masked_iterations(self, params):
+        # block k holds the k-th given set, repeats and order kept; in the run
+        # with equation i pinned it holds that set + {i}
         system = parse_system("a = ?p | b & c; b = a & ?q; c = b | c & !?p;")
         pbits, ones = param_masks(2) if params is None else (params, 1)
-        subsets = [frozenset({2}), frozenset({0, 1})]
-        lanes = props._lanes(system, pbits, ones, subsets)
+        sets = [frozenset({2}), frozenset({0, 1}), frozenset(), frozenset({2}), frozenset({0})]
+        lanes = props._lanes(system, pbits, ones, sets)
         width = ones.bit_length()
-        assert lanes.width == width and lanes.masks == [4, 3]
-        for masked in props._all_subsets(system.n):
-            mask = props._mask(masked)
+        assert lanes.width == width and lanes.sets == sets
+        assert lanes.every == (1 << len(sets) * width) - 1
+
+        def block(table, k):
+            return [tuple(v >> k * width & ones for v in x) for x in table]
+
+        for k, masked in enumerate(sets):
             expected = masked_iterates(system, masked, system.n + 1, pbits, ones)
-            block = [tuple(v >> mask * width & ones for v in x) for x in lanes.table]
-            assert block == expected
-            assert lanes.given >> mask * width & ones == (ones if mask in (3, 4) else 0)
+            assert block(lanes.table, k) == expected
             for i in range(system.n):
-                assert lanes.without[i] >> mask * width & ones == (0 if i in masked else ones)
+                pinned = masked_iterates(system, masked | {i}, system.n + 1, pbits, ones)
+                assert block(props._pinned_run(system, lanes, i), k) == pinned
+                assert lanes.without[i] >> k * width & ones == (0 if i in masked else ones)
+
+    def test_no_masked_sets(self):
+        # an empty list lays out no lanes and every suite passes on it
+        system = parse_system("x = ?p & y; y = x | ?q;")
+        assert props._blocks([], 4) == 0
+        assert props._lanes(system, (0, 1), 1, []).every == 0
+        for check in props.SUITES.values():
+            assert check(system, None, []) is None
+            assert check(system, (1, 0), []) is None
+
+    @pytest.mark.parametrize("suite", LANE_SUITES)
+    def test_clean_cases_pass(self, suite):
+        assert not any(_oracle_reports(suite, CASES))
+        assert not any(_suite_reports(suite, CASES))
 
     @pytest.mark.parametrize("suite, fault", DIFFERENTIAL)
-    def test_screen_flags_exactly_what_the_scalar_check_reports(self, monkeypatch, suite, fault):
+    def test_reports_are_the_oracles(self, monkeypatch, suite, fault):
         _inject(monkeypatch, fault)
-        verdicts = list(_screen_verdicts(suite, SCREEN_CORPUS))
-        assert any(fails for fails, _ in verdicts)
-        assert [fails for fails, _ in verdicts] == [flags for _, flags in verdicts]
+        expected = _oracle_reports(suite, CASES)
+        assert any(expected)
+        assert _suite_reports(suite, CASES) == expected
 
-    @pytest.mark.parametrize("suite", list(props._SCREENS))
-    def test_clean_corpus_is_not_flagged(self, suite):
-        assert not any(any(v) for v in _screen_verdicts(suite, SCREEN_CORPUS))
-
-    def test_flag_the_replay_passes_raises(self, monkeypatch):
-        # a lane the scalar iteration does not share: the screen flags, the
-        # replay finds nothing, and the suite refuses to pass
-        system = parse_system("x = ?p & y; y = x | ?q;")
-        monkeypatch.setattr(props, "_iterates", _lane_flipped(props._iterates))
-        for suite in props._SCREENS:
-            with pytest.raises(RuntimeError, match=f"{suite}: the lane screen flags"):
-                props.SUITES[suite](system)
-
-
-def _lane_flipped(iterates):
-    # lane 0 (empty masked set, all parameters 0) of iterate 1, every coordinate
-    def fake(system, live, m, p, ones):
-        out = iterates(system, live, m, p, ones)
-        out[1] = tuple(v ^ 1 for v in out[1])
-        return out
-
-    return fake
-
-
-def _unmasked_lanes(iterates):
-    # the lane iteration pins nothing: x_i <- f_i(x) in every lane
-    return lambda system, live, m, p, ones: iterates(system, [ones] * len(live), m, p, ones)
+    def test_wide_parameters(self):
+        # 2**14 masked sets under 2**8 assignments: 4M lanes, in seconds
+        system = gen_random_monotone(14, 8, 3, 7)
+        for suite in LANE_SUITES:
+            started = time.perf_counter()
+            assert props.SUITES[suite](system) is None
+            assert time.perf_counter() - started < 8, suite
 
 
 def _lanes_patched(**changes):
-    # the lane layout with some fields replaced after the iteration ran
+    # the lane layout with some fields replaced after its iteration ran
     def make(lanes_of):
         def fake(system, pbits, ones, subsets):
             lanes = lanes_of(system, pbits, ones, subsets)
@@ -390,11 +420,23 @@ def _lanes_patched(**changes):
     return make
 
 
-# Faults in the screens alone, each made from the name it stands in for.  Each
-# must make some screen verdict on the corpus differ from the scalar check,
-# clean or under a shared fault.
-SCREEN_FAULTS = {
-    "flipped-lane": ("_iterates", _lane_flipped),
+def _flip_lane_zero(lanes):
+    # lane 0 (the first set, all parameters 0) of iterate 1, every coordinate
+    table = list(lanes.table)
+    table[1] = tuple(v ^ 1 for v in table[1])
+    return table
+
+
+def _unmasked_lanes(iterates):
+    # the lane iteration pins nothing: x_i <- f_i(x) in every lane
+    return lambda system, live, m, p, ones: iterates(system, [ones] * len(live), m, p, ones)
+
+
+# Faults in the lane suites alone, each made from the name it stands in for.
+# Each must make some report on the cases differ from the oracle's, clean or
+# under a shared fault.
+LANE_FAULTS = {
+    "flipped-lane": ("_lanes", _lanes_patched(table=_flip_lane_zero)),
     "unmasked-lanes": ("_iterates", _unmasked_lanes),
     "unrestricted-comparison": ("_lanes", _lanes_patched(
         without=lambda lanes: [-1] * len(lanes.without))),
@@ -403,18 +445,19 @@ SCREEN_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", list(SCREEN_FAULTS))
-@pytest.mark.parametrize("suite", list(props._SCREENS))
-def test_screen_fault_is_caught(monkeypatch, suite, fault):
-    name, make = SCREEN_FAULTS[fault]
+@pytest.mark.parametrize("fault", list(LANE_FAULTS))
+@pytest.mark.parametrize("suite", LANE_SUITES)
+def test_lane_fault_is_caught(monkeypatch, suite, fault):
+    name, make = LANE_FAULTS[fault]
     for shared in (None, "flipped-first-masked-iterate"):
         with monkeypatch.context() as patch:
             if shared is not None:
                 _inject(patch, shared)
+            expected = _oracle_reports(suite, CASES)
             patch.setattr(props, name, make(getattr(props, name)))
-            if any(fails != flags for fails, flags in _screen_verdicts(suite, SCREEN_CORPUS)):
+            if _suite_reports(suite, CASES) != expected:
                 return
-    pytest.fail(f"{fault} in the {suite} screen went unnoticed")
+    pytest.fail(f"{fault} in the {suite} lanes went unnoticed")
 
 
 class TestIterateTable:
