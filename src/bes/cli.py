@@ -182,12 +182,14 @@ def _cmd_verify(args) -> int:
         system = _read_system(args.file)
         subsets = None
         if system.n > props._MAX_EXHAUSTIVE_N:
-            # past the suites' exhaustive masked-set limit, sample instead
+            # past the suites' exhaustive masked-set limit, sample distinct
+            # sets instead, in the order first drawn; n > 14 gives more than
+            # 4096 sets, so the loop ends
             rng = random.Random(args.seed)
-            subsets = [
-                frozenset(i for i in range(system.n) if rng.random() < 0.5)
-                for _ in range(min(args.trials, 4096))
-            ]
+            drawn: dict[frozenset[int], None] = {}
+            while len(drawn) < min(args.trials, 4096):
+                drawn[frozenset(i for i in range(system.n) if rng.random() < 0.5)] = None
+            subsets = list(drawn)
         for name, check in props.SUITES.items():
             cex = check(system, None, subsets)
             print(f"{name}: {'pass' if cex is None else 'FAIL'}")

@@ -10,19 +10,24 @@ Two builders produce an expression for the fixpoint without evaluating it:
   enclosing context.  Sharing comes from hash-consing plus a memo key that
   drops masked indices the subterm can never consult.
 
-Nodes are uninterpreted applications ``Apply(i, args)`` of equation i to
-one subterm per support variable of f_i, in ascending variable order.  Each
-node is a named tuple and serves as its own key in the hash-consing index,
-so one object per node is stored.  The two leaves bottom and top occupy ids
-0 and 1 of every DAG.  A builder ends with ``freeze(roots)``, which sets one
-root per equation and closes the table; everything downstream reads a DAG
-with roots, and a DAG is frozen exactly when it has them.
+Nodes are uninterpreted applications of equation i to one subterm per
+support variable of f_i, in ascending variable order.  A DAG is made for
+one layout, the sorted support of each equation, so a node stores only
+``(i, ids)``: the equation and its argument ids in support order.  That
+plain tuple is the node's entry in the table and its key in the
+hash-consing index.  ``TermDag.node`` pairs the ids with their variables
+again, as an ``Apply``, for a reader that wants them.  The two leaves bottom
+and top occupy ids 0 and 1 of every DAG.  A builder ends with
+``freeze(roots)``, which sets one root per equation and closes the table;
+everything downstream reads a DAG with roots, and a DAG is frozen exactly
+when it has them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from typing import NamedTuple
 
 from .core import (
@@ -47,6 +52,12 @@ class Apply(NamedTuple):
 class TermDag:
     """Append-only, hash-consed table of term nodes with one root per equation.
 
+    ``supports`` is the DAG's layout: for each equation, the variables its
+    arguments stand for, in order.  ``arity`` is the number of equations.
+    Entry ``tid`` of ``table`` is ``"bot"`` and ``"top"`` for the leaves 0
+    and 1, and ``(func, ids)`` for an application, one id per variable of
+    ``supports[func]``.
+
     Nodes are added with ``apply`` until ``freeze`` sets the roots; after
     that the table is read-only, and reading ``roots`` before it raises.
     ``apply`` refuses an argument that is not yet in the table, so every
@@ -55,20 +66,28 @@ class TermDag:
     its node, and one sweep down meets every node before its arguments.
     """
 
-    def __init__(self, arity: int):
-        self.arity = arity
-        self._nodes: list[Apply | str] = ["bot", "top"]
-        self._index: dict[Apply, int] = {}
+    def __init__(self, supports: Sequence[Sequence[int]]):
+        self.supports: tuple[tuple[int, ...], ...] = tuple(map(tuple, supports))
+        self.arity = len(self.supports)
+        self._nodes: list[tuple[int, tuple[int, ...]] | str] = ["bot", "top"]
+        self._index: dict[tuple[int, tuple[int, ...]], int] = {}
         self._roots: tuple[int, ...] | None = None
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def node(self, tid: int) -> Apply | str:
-        return self._nodes[tid]
+    @property
+    def table(self) -> list[tuple[int, tuple[int, ...]] | str]:
+        """The node table itself, indexed by id; callers must not change it."""
+        return self._nodes
 
-    def is_leaf(self, tid: int) -> bool:
-        return tid < 2
+    def node(self, tid: int) -> Apply | str:
+        """The leaf's name, or the application with each id beside its variable."""
+        node = self._nodes[tid]
+        if tid <= TOP:
+            return node
+        func, ids = node
+        return Apply(func, tuple(zip(self.supports[func], ids)))
 
     @property
     def roots(self) -> tuple[int, ...]:
@@ -76,19 +95,22 @@ class TermDag:
             raise RuntimeError("DAG has no roots yet")
         return self._roots
 
-    def apply(self, func: int, args: tuple[tuple[int, int], ...]) -> int:
-        """Intern an application node; structurally equal nodes share one id."""
+    def apply(self, func: int, ids: tuple[int, ...]) -> int:
+        """Intern equation ``func`` applied to ``ids``, in the order of its
+        support; structurally equal nodes share one id."""
         if self._roots is not None:
             raise RuntimeError("DAG is frozen")
-        node = Apply(func, args)
+        node = (func, ids)
         tid = self._index.get(node)
         if tid is None:
             if not 0 <= func < self.arity:
                 raise ValueError("equation index out of range")
-            for _, arg in args:
-                if not 0 <= arg < len(self._nodes):
-                    raise ValueError("argument refers to a node that does not exist yet")
+            if len(ids) != len(self.supports[func]):
+                raise ValueError("argument count does not match the equation's support")
             tid = len(self._nodes)
+            for arg in ids:
+                if not 0 <= arg < tid:
+                    raise ValueError("argument refers to a node that does not exist yet")
             self._nodes.append(node)
             self._index[node] = tid
         return tid
@@ -117,7 +139,7 @@ class TermDag:
             marks[root] = 1
         for tid in range(len(nodes) - 1, 1, -1):
             if marks[tid]:
-                for _, arg in nodes[tid].args:
+                for arg in nodes[tid][1]:
                     marks[arg] = 1
         return list(compress(range(len(nodes)), marks))
 
@@ -152,8 +174,7 @@ class PrunedBuilder:
 
     def __init__(self, system: System, canonical_keys: bool = True):
         self.system = system
-        self.dag = TermDag(system.n)
-        self._supports = system.supports()
+        self.dag = TermDag(system.supports())
         self._memo: dict[tuple[int, int], int] = {}
         self._key_sets = _cones(system) if canonical_keys else None
 
@@ -167,8 +188,8 @@ class PrunedBuilder:
         tid = self._memo.get(key)
         if tid is None:
             inner = masked | bit
-            args = tuple((j, self.term(inner, j)) for j in self._supports[i])
-            tid = self.dag.apply(i, args)
+            ids = tuple([self.term(inner, j) for j in self.dag.supports[i]])
+            tid = self.dag.apply(i, ids)
             self._memo[key] = tid
         return tid
 
@@ -197,12 +218,12 @@ def build_expanded(system: System, k: int | None = None) -> TermDag:
         k = n
     if k < 0:
         raise ValueError("unrolling depth must be nonnegative")
-    supports = system.supports()
-    dag = TermDag(n)
+    dag = TermDag(system.supports())
     level = [BOTTOM] * n
     for _ in range(k):
         level = [
-            dag.apply(i, tuple((j, level[j]) for j in supports[i])) for i in range(n)
+            dag.apply(i, tuple([level[j] for j in support]))
+            for i, support in enumerate(dag.supports)
         ]
     return dag.freeze(tuple(level))
 
@@ -216,37 +237,41 @@ def with_top_leaves(dag: TermDag) -> TermDag:
     pruned form, or the expanded form at the default depth n), the copy
     evaluates to the greatest.
     """
-    out = TermDag(dag.arity)
-    remap = {BOTTOM: TOP, TOP: TOP}
-    for tid in range(2, len(dag)):
-        node = dag.node(tid)
-        assert isinstance(node, Apply)
-        args = tuple((v, remap[a]) for v, a in node.args)
-        remap[tid] = out.apply(node.func, args)
-    return out.freeze(tuple(remap[r] for r in dag.roots))
+    out = TermDag(dag.supports)
+    remap = [TOP, TOP]
+    for func, ids in islice(dag.table, 2, None):
+        remap.append(out.apply(func, tuple([remap[a] for a in ids])))
+    return out.freeze(tuple([remap[r] for r in dag.roots]))
+
+
+def _check_layout(dag: TermDag, system: System) -> None:
+    """Refuse a DAG made for another system's layout.
+
+    A node's ids stand for the variables of its equation's support in the
+    DAG's layout, so read with another system they would be wrong arguments.
+    """
+    if dag.arity != system.n:
+        raise ValueError("DAG arity does not match the system")
+    if dag.supports != tuple(system.supports()):
+        raise ValueError("DAG argument layout does not match the system's supports")
 
 
 def node_values(
     dag: TermDag, system: System, p: ParamAssignment = (), ones: int = 1
 ) -> list[int]:
     """Value of every node in table order, computed bottom-up in one pass."""
-    if dag.arity != system.n:
-        raise ValueError("DAG arity does not match the system")
+    _check_layout(dag, system)
     _check_params(system, p, ones)
-    supports = [list(supp) for supp in system.supports()]
+    supports = dag.supports
     formulas = system.formulas
     # One argument buffer serves every node: a node writes exactly the
     # support slots of its equation, which are all that equation reads.
     x = [0] * system.n
     values = [0, ones]
-    for tid in range(2, len(dag)):
-        node = dag.node(tid)
-        assert isinstance(node, Apply)
-        if [v for v, _ in node.args] != supports[node.func]:
-            raise ValueError("DAG argument layout does not match the system's supports")
-        for v, arg in node.args:
+    for func, ids in islice(dag.table, 2, None):
+        for v, arg in zip(supports[func], ids):
             x[v] = values[arg]
-        values.append(eval_formula(formulas[node.func], x, p, ones))
+        values.append(eval_formula(formulas[func], x, p, ones))
     return values
 
 
@@ -275,17 +300,18 @@ def dag_stats(dag: TermDag) -> DagStats:
     """
     apply_count = 0
     edge_count = 0
-    depth = [0] * len(dag)
-    size = [1] * len(dag)
+    table = dag.table
+    depth = [0] * len(table)
+    size = [1] * len(table)
     for tid in dag.reachable():
         if tid <= TOP:
             continue
-        args = dag.node(tid).args
+        ids = table[tid][1]
         apply_count += 1
-        edge_count += len(args)
+        edge_count += len(ids)
         deepest = -1
         total = 1
-        for _, arg in args:
+        for arg in ids:
             if depth[arg] > deepest:
                 deepest = depth[arg]
             total += size[arg]

@@ -1,12 +1,13 @@
 """Serialization of term DAGs: let-text, s-expressions, DOT, and DIMACS CNF.
 
 All emitters are pure functions of a frozen DAG plus its system and produce
-byte-identical output on identical input.  Each reads the DAG's roots
-before it writes anything, so a DAG still being built is refused with the
-RuntimeError that ``TermDag.roots`` raises.  The CNF emitter performs a
-Tseitin encoding whose satisfiability, for a DAG that is a closed form of
-the least fixpoint, matches the existence of a parameter assignment giving
-the queried fixpoint coordinate the queried bit.
+byte-identical output on identical input.  Each refuses a DAG made for
+another system's layout with the ValueError that ``eval_dag`` raises, and
+reads the DAG's roots before it writes anything, so a DAG still being built
+is refused with the RuntimeError that ``TermDag.roots`` raises.  The CNF
+emitter performs a Tseitin encoding whose satisfiability, for a DAG that is
+a closed form of the least fixpoint, matches the existence of a parameter
+assignment giving the queried fixpoint coordinate the queried bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import And, Const, Formula, Param, System, Var
-from .dag import Apply, BOTTOM, TOP, TermDag, dag_stats
+from .dag import BOTTOM, TOP, TermDag, _check_layout, dag_stats
 
 DEFAULT_TREE_SIZE_LIMIT = 1_000_000
 
@@ -36,8 +37,9 @@ def _topological(dag: TermDag) -> list[int]:
     Depth-first from the roots in root order, arguments in ascending
     variable order, each node listed at its first completion.
     """
+    table = dag.table
     order: list[int] = []
-    done = bytearray(len(dag))
+    done = bytearray(len(table))
     done[BOTTOM] = done[TOP] = 1  # leaves are never listed
     for root in dag.roots:
         stack: list[tuple[int, bool]] = [(root, False)]
@@ -50,9 +52,7 @@ def _topological(dag: TermDag) -> list[int]:
                 order.append(tid)
                 continue
             stack.append((tid, True))
-            node = dag.node(tid)
-            assert isinstance(node, Apply)
-            for _, arg in reversed(node.args):
+            for arg in reversed(table[tid][1]):
                 if not done[arg]:
                     stack.append((arg, False))
     return order
@@ -64,15 +64,16 @@ def to_let_text(dag: TermDag, system: System) -> str:
     Binders are named t0, t1, ... in topological order; bottom and top
     print as ``bot`` and ``top``.
     """
+    _check_layout(dag, system)
     names = system.var_names
-    binder = ["bot", "top"] + [""] * (len(dag) - 2)
+    table = dag.table
+    binder = ["bot", "top"] + [""] * (len(table) - 2)
     lines = []
     for k, tid in enumerate(_topological(dag)):
-        node = dag.node(tid)
-        assert isinstance(node, Apply)
+        func, ids = table[tid]
         name = f"t{k}"
-        args = ", ".join([binder[a] for _, a in node.args])
-        lines.append(f"let {name} = {names[node.func]}({args}) in")
+        args = ", ".join([binder[a] for a in ids])
+        lines.append(f"let {name} = {names[func]}({args}) in")
         binder[tid] = name
     lines.append("(" + ", ".join([binder[r] for r in dag.roots]) + ")")
     return "\n".join(lines) + "\n"
@@ -88,15 +89,16 @@ def to_sexpr(
     beyond ``max_tree_size``.  A single-equation system prints its root
     alone; otherwise the roots form one parenthesized tuple.
     """
+    _check_layout(dag, system)
     stats = dag_stats(dag)
     if stats.tree_size > max_tree_size:
         raise TreeSizeLimitError(stats.tree_size, max_tree_size)
     names = system.var_names
-    rendered = ["bot", "top"] + [""] * (len(dag) - 2)
+    table = dag.table
+    rendered = ["bot", "top"] + [""] * (len(table) - 2)
     for tid in _topological(dag):
-        node = dag.node(tid)
-        assert isinstance(node, Apply)
-        parts = [names[node.func]] + [rendered[a] for _, a in node.args]
+        func, ids = table[tid]
+        parts = [names[func]] + [rendered[a] for a in ids]
         rendered[tid] = "(" + " ".join(parts) + ")"
     roots = [rendered[r] for r in dag.roots]
     if len(roots) == 1:
@@ -106,17 +108,19 @@ def to_sexpr(
 
 def to_dot(dag: TermDag, system: System) -> str:
     """DOT digraph: one node per reachable id, edges labeled by argument variable."""
+    _check_layout(dag, system)
     names = system.var_names
+    table = dag.table
+    supports = dag.supports
     lines = ["digraph bes {"]
     reach = dag.reachable()
     for tid in reach:
-        node = dag.node(tid)
-        label = node if isinstance(node, str) else names[node.func]
+        label = table[tid] if tid <= TOP else names[table[tid][0]]
         lines.append(f'  n{tid} [label="{label}"];')
     for tid in reach:
-        node = dag.node(tid)
-        if isinstance(node, Apply):
-            for v, arg in node.args:
+        if tid > TOP:
+            func, ids = table[tid]
+            for v, arg in zip(supports[func], ids):
                 lines.append(f'  n{tid} -> n{arg} [label="{names[v]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -140,7 +144,7 @@ class CnfFormula:
 
 
 def _gate_list(
-    f: Formula, support: list[int], num_params: int
+    f: Formula, support: tuple[int, ...], num_params: int
 ) -> tuple[list[tuple[type, int, int]], int]:
     """Post-order gate list of one equation's formula, and its output slot.
 
@@ -193,11 +197,11 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
         raise ValueError("query variable out of range")
     if qbit not in (0, 1):
         raise ValueError("query bit must be 0 or 1")
-    if dag.arity != system.n:
-        raise ValueError("DAG arity does not match the system")
+    _check_layout(dag, system)
 
     names = system.var_names
-    layouts = [list(support) for support in system.supports()]
+    supports = dag.supports
+    table = dag.table
     num_params = len(system.param_names)
     node_map = {k + 1: f"param {name}" for k, name in enumerate(system.param_names)}
     param_lits = [lit for k in range(1, num_params + 1) for lit in (k, -k)]
@@ -209,27 +213,17 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
     for tid in dag.reachable():
         num_vars += 1
         node_var[tid] = v = num_vars
-        node = dag.node(tid)
         if tid <= TOP:
-            node_map[v] = f"term {tid} {node}"
+            node_map[v] = f"term {tid} {table[tid]}"
             clauses.append((v,) if tid == TOP else (-v,))
             continue
-        assert isinstance(node, Apply)
-        func = node.func
-        # one loop reads both halves of each pair: a comprehension per half
-        # costs more than this loop and the layout check together
-        arg_vars = []
-        lits = []
-        for var, arg in node.args:
-            arg_vars.append(var)
-            lits.append(node_var[arg])
-        if arg_vars != layouts[func]:
-            raise ValueError("DAG argument layout does not match the system's supports")
+        func, ids = table[tid]
+        lits = [node_var[arg] for arg in ids]
         node_map[v] = f"term {tid} {names[func]}"
         compiled = gate_lists[func]
         if compiled is None:
             compiled = gate_lists[func] = _gate_list(
-                system.formulas[func], layouts[func], num_params
+                system.formulas[func], supports[func], num_params
             )
         gates, out = compiled
         lits += param_lits

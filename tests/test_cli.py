@@ -224,7 +224,7 @@ class TestVerify:
             assert len(calls) == 8
             for _, n, params, subsets in calls:
                 assert (n, params) == (15, None)
-                assert len(subsets) == expected
+                assert len(subsets) == len(set(subsets)) == expected
                 assert all(s <= frozenset(range(15)) for s in subsets)
                 assert subsets == calls[0][3]
 

@@ -69,7 +69,7 @@ class TestExpanded:
         stats = dag_stats(dag)
         assert (stats.apply_count, stats.edge_count) == (16, 32)
         # independent recount by walking the node table
-        applies = [dag.node(t) for t in dag.reachable() if not dag.is_leaf(t)]
+        applies = [dag.node(t) for t in dag.reachable() if t > TOP]
         assert len(applies) == 16
         assert sum(len(a.args) for a in applies) == 32
 
@@ -207,20 +207,18 @@ def _same_terms(a, b):
     """Structural equality of root terms via interning both into one table."""
     from bes.dag import TermDag
 
-    shared = TermDag(a.arity)
+    shared = TermDag(a.supports)
     memo = {}
 
     def intern(dag, tid, side):
         key = (side, tid)
         got = memo.get(key)
         if got is None:
-            if dag.is_leaf(tid):
+            if tid <= TOP:
                 got = tid
             else:
                 node = dag.node(tid)
-                got = shared.apply(
-                    node.func, tuple((v, intern(dag, arg, side)) for v, arg in node.args)
-                )
+                got = shared.apply(node.func, tuple(intern(dag, arg, side) for _, arg in node.args))
             memo[key] = got
         return got
 
@@ -258,7 +256,7 @@ class TestStats:
         dag = build_pruned(s)
 
         def tree_size(tid):
-            if dag.is_leaf(tid):
+            if tid <= TOP:
                 return 1
             return 1 + sum(tree_size(arg) for _, arg in dag.node(tid).args)
 
@@ -274,10 +272,14 @@ class TestStats:
         rng = random.Random(1010)
         for _ in range(200):
             arity = rng.randint(1, 4)
-            dag = TermDag(arity)
+            supports = [
+                sorted(rng.sample(range(arity), rng.randint(0, min(arity, 3))))
+                for _ in range(arity)
+            ]
+            dag = TermDag(supports)
             for _ in range(rng.randint(0, 30)):
-                ids = rng.sample(range(len(dag)), min(len(dag), rng.randint(0, 3)))
-                dag.apply(rng.randrange(arity), tuple(enumerate(sorted(ids))))
+                func = rng.randrange(arity)
+                dag.apply(func, tuple(rng.randrange(len(dag)) for _ in supports[func]))
             dag.freeze(tuple(rng.randrange(len(dag)) for _ in range(arity)))
 
             seen = set(dag.roots)
@@ -299,7 +301,7 @@ class TestStats:
             def size(tid):
                 return 1 + sum(size(a) for _, a in getattr(dag.node(tid), "args", ()))
 
-            applies = [dag.node(t) for t in seen if not dag.is_leaf(t)]
+            applies = [dag.node(t) for t in seen if t > TOP]
             assert dag_stats(dag) == DagStats(
                 apply_count=len(applies),
                 edge_count=sum(len(node.args) for node in applies),
@@ -321,7 +323,7 @@ class TestTopLeaves:
         s = parse_system("x = x & y; y = x | y;")
         dag = with_top_leaves(build_pruned(s))
         for tid in dag.reachable():
-            if dag.is_leaf(tid):
+            if tid <= TOP:
                 assert dag.node(tid) == "top"
 
     def test_evaluates_to_greatest_fixpoint(self):
@@ -355,7 +357,7 @@ class TestRootUnrolling:
                 per_node = node_values(base, s, p)
                 roots = [per_node[r] for r in base.roots]
                 for i, root in enumerate(base.roots):
-                    if base.is_leaf(root):
+                    if root <= TOP:
                         continue
                     node = base.node(root)
                     x = [0] * s.n
@@ -408,8 +410,8 @@ class TestFrozenDiscipline:
     def test_freeze_takes_one_root_per_equation_once(self):
         from bes.dag import TermDag
 
-        dag = TermDag(2)
-        tid = dag.apply(0, ((0, BOTTOM),))
+        dag = TermDag([(0,), (0, 1)])
+        tid = dag.apply(0, (BOTTOM,))
         for roots in ((), (tid,), (tid, tid, tid), (tid, tid + 1), (-1, tid)):
             with pytest.raises(ValueError):
                 dag.freeze(roots)
@@ -424,8 +426,8 @@ class TestFrozenDiscipline:
         from bes.dag import TermDag
 
         s = parse_system("x = x;")
-        dag = TermDag(1)
-        tid = dag.apply(0, ((0, BOTTOM),))
+        dag = TermDag(s.supports())
+        tid = dag.apply(0, (BOTTOM,))
         roots = [tid]
         dag.freeze(roots)
         roots[0] = 57
@@ -436,20 +438,33 @@ class TestFrozenDiscipline:
         # eval_dag and the emitters would index the system's equations with it
         from bes.dag import TermDag
 
-        dag = TermDag(1)
+        dag = TermDag([()])
         for func in (3, 1, -1):
             with pytest.raises(ValueError):
                 dag.apply(func, ())
         assert len(dag) == 2
         assert dag.apply(0, ()) == 2
 
+    def test_argument_count_other_than_the_support_rejected(self):
+        # every pass reads a node's ids beside its equation's support
+        # variables, so a missing or extra id would shift or drop arguments
+        from bes.dag import TermDag
+
+        dag = TermDag([(0, 1), ()])
+        for func, ids in ((0, ()), (0, (BOTTOM,)), (0, (BOTTOM, TOP, TOP)), (1, (TOP,))):
+            with pytest.raises(ValueError):
+                dag.apply(func, ids)
+        assert len(dag) == 2
+        assert dag.apply(0, (BOTTOM, TOP)) == 2
+        assert dag.apply(1, ()) == 3
+
     def test_dag_under_construction_is_refused(self):
         from bes.dag import TermDag
         from bes.emit import to_cnf, to_dot, to_let_text, to_sexpr
 
         s = parse_system("x = x;")
-        dag = TermDag(1)
-        dag.apply(0, ((0, BOTTOM),))
+        dag = TermDag(s.supports())
+        dag.apply(0, (BOTTOM,))
         with pytest.raises(RuntimeError):
             dag.roots
         for emit in (to_let_text, to_sexpr, to_dot):
@@ -461,27 +476,35 @@ class TestFrozenDiscipline:
     def test_equal_applications_share_one_node(self):
         from bes.dag import TermDag
 
-        dag = TermDag(2)
-        inner = dag.apply(1, ((0, BOTTOM), (1, TOP)))
-        args = ((0, inner), (1, BOTTOM))
-        tid = dag.apply(0, args)
-        assert dag.apply(0, args) == tid
-        assert dag.apply(0, tuple(list(args))) == tid
-        assert dag.apply(1, ((0, BOTTOM), (1, TOP))) == inner
+        dag = TermDag([(0, 1), (0, 1)])
+        inner = dag.apply(1, (BOTTOM, TOP))
+        ids = (inner, BOTTOM)
+        tid = dag.apply(0, ids)
+        assert dag.apply(0, ids) == tid
+        assert dag.apply(0, tuple(list(ids))) == tid
+        assert dag.apply(1, (BOTTOM, TOP)) == inner
         assert len(dag) == 4
+        args = ((0, inner), (1, BOTTOM))
         assert dag.node(tid) == Apply(0, args)
         assert dag.node(tid).func == 0 and dag.node(tid).args == args
         assert isinstance(dag.node(tid), Apply)
 
     def test_arity_mismatch_rejected(self):
-        from bes.emit import to_cnf
+        from bes.emit import to_cnf, to_dot, to_let_text, to_sexpr
 
-        a = parse_system("x = x;")
-        b = parse_system("x = x; y = y;")
-        with pytest.raises(ValueError):
-            eval_dag(build_pruned(a), b)
-        with pytest.raises(ValueError):
-            to_cnf(build_pruned(a), b, (1, 1))
+        for a, b in (
+            ("x = x;", "x = x; y = y;"),
+            ("x = y; y = x | ?p;", "u = 1; v = u; w = v;"),
+        ):
+            a, b = parse_system(a), parse_system(b)
+            dag = build_pruned(a)
+            with pytest.raises(ValueError, match="arity"):
+                eval_dag(dag, b)
+            with pytest.raises(ValueError, match="arity"):
+                to_cnf(dag, b, (1, 1))
+            for emit in (to_let_text, to_sexpr, to_dot):
+                with pytest.raises(ValueError, match="arity"):
+                    emit(dag, b)
 
     def test_argument_ids_outside_the_table_rejected(self):
         # node_values would read a negative id as a Python index from the
@@ -489,22 +512,30 @@ class TestFrozenDiscipline:
         # not the fixpoint 0
         from bes.dag import TermDag
 
-        dag = TermDag(1)
+        dag = TermDag([(0,)])
         for arg in (-1, -2, 2):
             with pytest.raises(ValueError):
-                dag.apply(0, ((0, arg),))
+                dag.apply(0, (arg,))
         assert len(dag) == 2
-        assert dag.apply(0, ((0, BOTTOM),)) == 2
+        assert dag.apply(0, (BOTTOM,)) == 2
 
     def test_support_mismatch_rejected(self):
-        # to_cnf reads each node's argument literals by position, so it must
-        # refuse a DAG of another system rather than encode it
-        from bes.emit import to_cnf
+        # to_cnf reads each node's argument literals by position, and the
+        # text emitters name each argument by it, so each must refuse a DAG
+        # of another system rather than encode or print it
+        from bes.emit import to_cnf, to_dot, to_let_text, to_sexpr
 
-        a = parse_system("x = x; y = x;")
-        for b in ("x = x; y = y;", "x = x | ?p; y = y & ?p;", "x = x; y = x & y;"):
-            b = parse_system(b)
-            with pytest.raises(ValueError):
-                eval_dag(build_pruned(a), b)
-            with pytest.raises(ValueError):
-                to_cnf(build_pruned(a), b, (1, 1))
+        for a, others in (
+            ("x = x; y = x;", ("x = x; y = y;", "x = x | ?p; y = y & ?p;", "x = x; y = x & y;")),
+            ("x = y; y = x | ?p;", ("x = ?p; y = x;",)),
+        ):
+            dag = build_pruned(parse_system(a))
+            for b in others:
+                b = parse_system(b)
+                with pytest.raises(ValueError, match="layout"):
+                    eval_dag(dag, b)
+                with pytest.raises(ValueError, match="layout"):
+                    to_cnf(dag, b, (1, 1))
+                for emit in (to_let_text, to_sexpr, to_dot):
+                    with pytest.raises(ValueError, match="layout"):
+                        emit(dag, b)

@@ -152,12 +152,9 @@ class TestEmitterDeterminism:
     def test_corpus_digest_is_unchanged(self):
         # Every emitter on 200 seeded systems, three DAGs each; the digest
         # pins the bytes, 178 of the systems use a constant
-        rng = random.Random(2004)
         digest = hashlib.sha256()
-        for _ in range(200):
-            n = rng.randint(1, 6)
-            s = gen_random_monotone(n, rng.randint(0, 3), 4, rng.randrange(2**32))
-            for dag in (build_pruned(s), build_expanded(s), with_top_leaves(build_expanded(s, 2))):
+        for s, dags in corpus():
+            for dag in dags:
                 for text in (repr(dag_stats(dag)), to_let_text(dag, s), to_dot(dag, s), to_sexpr(dag, s)):
                     digest.update(text.encode())
                 for v in range(s.n):
@@ -168,18 +165,47 @@ class TestEmitterDeterminism:
         )
 
 
+def corpus():
+    """200 seeded systems, each with a pruned, an expanded and a top-leaved DAG."""
+    rng = random.Random(2004)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        s = gen_random_monotone(n, rng.randint(0, 3), 4, rng.randrange(2**32))
+        yield s, (build_pruned(s), build_expanded(s), with_top_leaves(build_expanded(s, 2)))
+
+
+class TestNodeViews:
+    def test_views_follow_the_supports_and_rebuild_the_table(self):
+        # node() pairs each id with its support variable; interning the
+        # views' ids again, in id order, gives back every id and node
+        for s, dags in corpus():
+            supports = s.supports()
+            for dag in dags:
+                fresh = TermDag(supports)
+                for tid in range(2, len(dag)):
+                    node = dag.node(tid)
+                    assert tuple(v for v, _ in node.args) == supports[node.func]
+                    assert all(0 <= arg < tid for _, arg in node.args)
+                    assert fresh.apply(node.func, tuple(a for _, a in node.args)) == tid
+                assert len(fresh) == len(dag)
+                assert fresh.table == dag.table
+                assert [fresh.node(t) for t in range(len(dag))] == [
+                    dag.node(t) for t in range(len(dag))
+                ]
+
+
 class TestUnreachableNodes:
     """A hand-built table whose unreachable nodes sit between reachable ones."""
 
     SYSTEM = "x = y | ?p; y = x & y;"
 
     def dag(self):
-        dag = TermDag(2)
-        shared = dag.apply(1, ((0, BOTTOM), (1, TOP)))       # 2, read by 3 and 5
-        x = dag.apply(0, ((1, shared),))                     # 3, root x
-        dead_x = dag.apply(0, ((1, TOP),))                   # 4
-        y = dag.apply(1, ((0, x), (1, shared)))              # 5, root y
-        dag.apply(1, ((0, dead_x), (1, dead_x)))             # 6
+        dag = TermDag(parse_system(self.SYSTEM).supports())  # x reads y; y reads x, y
+        shared = dag.apply(1, (BOTTOM, TOP))       # 2, read by 3 and 5
+        x = dag.apply(0, (shared,))                # 3, root x
+        dead_x = dag.apply(0, (TOP,))              # 4
+        y = dag.apply(1, (x, shared))              # 5, root y
+        dag.apply(1, (dead_x, dead_x))             # 6
         return dag.freeze((x, y))
 
     def test_reachable_and_stats_skip_them(self):
