@@ -22,7 +22,6 @@ from .core import (
     greatest_fixpoint,
     kleene_lfp,
     masked_iterates,
-    substitute_var,
     support,
 )
 from .dag import (
@@ -87,7 +86,6 @@ __all__ = [
     "masked_iterates",
     "parse_dimacs",
     "parse_system",
-    "substitute_var",
     "support",
     "to_cnf",
     "to_dot",

@@ -184,14 +184,21 @@ def _check_params(system: System, p: ParamAssignment, ones: int) -> None:
 
 
 def _changing_rounds(
-    system: System, x: list[int], live: Sequence[int], p: ParamAssignment, ones: int
+    system: System,
+    x: list[int],
+    live: Sequence[int],
+    p: ParamAssignment,
+    ones: int,
+    own: Sequence[int] | None = None,
 ) -> Iterator[None]:
     """Apply the system in rounds to x in place; yield after each round that
     changed x, and stop at the first round that changes nothing.
 
     Equation i sets x_i to f_i(x) & live[i]: a bit of ``live[i]`` that is 0
     pins x_i to 0 there, and an equation with no live bit is never
-    evaluated.  Round 1 evaluates every other equation; each later round
+    evaluated.  Where ``own[i]`` has a bit, f_i reads its own variable x_i
+    as 0 there, as if x_i were replaced by 0 inside f_i; by default it reads
+    x_i as it is.  Round 1 evaluates every other equation; each later round
     re-evaluates only the readers of the variables the previous round
     changed.  That is exact: f_i reads only its support, so if no variable in
     it changed, neither does x_i.  Every round evaluates against the previous
@@ -205,8 +212,12 @@ def _changing_rounds(
     while True:
         changed = []
         for i in dirty:
+            xi = x[i]
+            if own is not None:
+                x[i] = xi & ~own[i]  # hidden from f_i for this evaluation only
             value = eval_formula(formulas[i], x, p, ones) & live[i]
-            if value != x[i]:
+            x[i] = xi
+            if value != xi:
                 changed.append((i, value))
         if not changed:
             return
@@ -219,17 +230,22 @@ def _changing_rounds(
 
 
 def _settle(
-    system: System, x: list[int], p: ParamAssignment, ones: int
+    system: System,
+    x: list[int],
+    p: ParamAssignment,
+    ones: int,
+    own: Sequence[int] | None = None,
 ) -> tuple[Valuation, int]:
     """Iterate from x until a round changes nothing; return (fixpoint, depth).
 
     Depth counts the rounds that changed something.  From a bottom or top
     start a monotone system settles within n of them, so one more raises
-    NonMonotoneError.
+    NonMonotoneError.  ``own`` is passed on to ``_changing_rounds``; reading
+    x_i as 0 inside f_i leaves every f_i monotone, so the bound still holds.
     """
     _check_params(system, p, ones)
     depth = 0
-    for _ in _changing_rounds(system, x, [ones] * system.n, p, ones):
+    for _ in _changing_rounds(system, x, [ones] * system.n, p, ones, own):
         depth += 1
         if depth > system.n:
             raise NonMonotoneError("iteration exceeded the lattice height; system is not monotone")
@@ -295,23 +311,6 @@ def _iterates(
         out.append(tuple(x))
     out.extend([out[-1]] * (m + 1 - len(out)))
     return out
-
-
-def substitute_var(f: Formula, index: int, replacement: Formula) -> Formula:
-    """Replace every occurrence of the given state variable in f."""
-    if isinstance(f, Var):
-        return replacement if f.index == index else f
-    if isinstance(f, And):
-        return And(
-            substitute_var(f.left, index, replacement),
-            substitute_var(f.right, index, replacement),
-        )
-    if isinstance(f, Or):
-        return Or(
-            substitute_var(f.left, index, replacement),
-            substitute_var(f.right, index, replacement),
-        )
-    return f
 
 
 def param_masks(num_params: int) -> tuple[ParamAssignment, int]:

@@ -60,10 +60,11 @@ class TermDag:
 
     Nodes are added with ``apply`` until ``freeze`` sets the roots; after
     that the table is read-only, and reading ``roots`` before it raises.
-    ``apply`` refuses an argument that is not yet in the table, so every
-    argument id is lower than its node's id.  The passes over a frozen DAG
-    rely on that rule: one sweep up the table meets every argument before
-    its node, and one sweep down meets every node before its arguments.
+    ``apply`` refuses an argument that is not an int id already in the
+    table, so every argument id is lower than its node's id.  The passes
+    over a frozen DAG rely on that rule: one sweep up the table meets every
+    argument before its node, and one sweep down meets every node before its
+    arguments.
     """
 
     def __init__(self, supports: Sequence[Sequence[int]]):
@@ -109,8 +110,8 @@ class TermDag:
                 raise ValueError("argument count does not match the equation's support")
             tid = len(self._nodes)
             for arg in ids:
-                if not 0 <= arg < tid:
-                    raise ValueError("argument refers to a node that does not exist yet")
+                if not (isinstance(arg, int) and 0 <= arg < tid):
+                    raise ValueError(f"argument {arg!r} is not the id of a node in the table")
             self._nodes.append(node)
             self._index[node] = tid
         return tid
@@ -173,7 +174,6 @@ class PrunedBuilder:
     """
 
     def __init__(self, system: System, canonical_keys: bool = True):
-        self.system = system
         self.dag = TermDag(system.supports())
         self._memo: dict[tuple[int, int], int] = {}
         self._key_sets = _cones(system) if canonical_keys else None

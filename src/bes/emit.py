@@ -35,7 +35,8 @@ def _topological(dag: TermDag) -> list[int]:
     """Reachable Apply ids, children before parents, deterministic.
 
     Depth-first from the roots in root order, arguments in ascending
-    variable order, each node listed at its first completion.
+    variable order, each node listed at its first completion.  Let-text
+    prints its bindings in this order; the other passes sweep the table.
     """
     table = dag.table
     order: list[int] = []
@@ -96,7 +97,10 @@ def to_sexpr(
     names = system.var_names
     table = dag.table
     rendered = ["bot", "top"] + [""] * (len(table) - 2)
-    for tid in _topological(dag):
+    # ascending ids meet every argument before its node
+    for tid in dag.reachable():
+        if tid <= TOP:
+            continue
         func, ids = table[tid]
         parts = [names[func]] + [rendered[a] for a in ids]
         rendered[tid] = "(" + " ".join(parts) + ")"

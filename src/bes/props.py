@@ -23,8 +23,12 @@ with i pinned in every block: block k of that run is the S_k + {i}-masked
 iteration, compared with block k of the first.  A failing comparison sets
 lanes; the lowest one lies in the block of the first failing set, and the
 report is decoded from that block's iterates in the order of the
-comparisons, then the lowest failing slice.  ``prune_le_iterate`` and
-``zero_prefix`` need only the plain iterates.
+comparisons, then the lowest failing slice.  ``self_substitution`` lays out
+n + 1 blocks in the same way and settles them in one loop: block 0 is the
+system, and in block i + 1 equation i reads its own variable as 0.  It
+reports the first block that differs from block 0, at its first differing
+coordinate, without rewriting a formula or building a system.
+``prune_le_iterate`` and ``zero_prefix`` need only the plain iterates.
 
 The suites:
 
@@ -52,18 +56,17 @@ from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
-    Const,
     IndexSet,
     ParamAssignment,
     System,
     Valuation,
     _check_params,
     _iterates,
+    _settle,
     decode_param_slice,
     kleene_lfp,
     masked_iterates,
     param_masks,
-    substitute_var,
 )
 from .dag import (
     PrunedBuilder,
@@ -343,21 +346,33 @@ def _masked_le_pruned(system, pbits, ones, subsets):
             return
 
 
+def _self_substituted(system: System, pbits: Sequence[int], ones: int) -> Valuation:
+    """The least fixpoint in lane block 0 and, in block i + 1, the least
+    fixpoint with x_i read as 0 inside f_i, from one settle loop."""
+    n, width = system.n, ones.bit_length()
+    repeated = tuple(_blocks([bits] * (n + 1), width) for bits in pbits)
+    own = [ones << (i + 1) * width for i in range(n)]
+    fixpoint, _ = _settle(system, [0] * n, repeated, (1 << (n + 1) * width) - 1, own)
+    return fixpoint
+
+
 def _self_substitution(system, pbits, ones, subsets):
-    """Replacing x_i by 0 inside its own equation preserves the least fixpoint."""
-    base, _ = kleene_lfp(system, pbits, ones)
-    for i in range(system.n):
-        formulas = list(system.formulas)
-        formulas[i] = substitute_var(formulas[i], i, Const(0))
-        rewritten = System(tuple(formulas), system.var_names, system.param_names)
-        other, _ = kleene_lfp(rewritten, pbits, ones)
-        for j in range(system.n):
-            bad = (base[j] ^ other[j]) & ones
-            if bad:
-                yield bad, (
-                    f"zeroing {system.var_names[i]} inside its own equation "
-                    f"changed the fixpoint at {system.var_names[j]}"
-                )
+    """Replacing x_i by 0 inside its own equation preserves the least fixpoint.
+
+    Block i + 1 of the lane fixpoint is compared with block 0, and the first
+    differing block is reported at its first differing coordinate.
+    """
+    n, width = system.n, ones.bit_length()
+    fixpoint = _self_substituted(system, pbits, ones)
+    flags = [v ^ _blocks([v & ones] * (n + 1), width) for v in fixpoint]
+    found = _first_flag(flags, width)
+    if found is None:
+        return
+    k, j = found
+    yield flags[j] >> k * width & ones, (
+        f"zeroing {system.var_names[k - 1]} inside its own equation "
+        f"changed the fixpoint at {system.var_names[j]}"
+    )
 
 
 def _memo_keys(system, pbits, ones, subsets):

@@ -1,17 +1,53 @@
-"""Scalar forms of the two masked-set property suites.
+"""Scalar forms of the property suites that run in lanes.
 
 Used by the tests as a differential oracle for the lane suites in
-``bes.props``: each generator iterates one masked set at a time with
-``masked_iterates`` and yields ``(bad, detail)`` for every failing
-comparison, in the order the suites report them, ``bad`` holding one bit per
-failing parameter slice.  The arguments are those of a suite's violations,
-``(system, pbits, ones, subsets)``.
+``bes.props``: the two masked-set generators iterate one masked set at a
+time with ``masked_iterates``, and ``self_substitution`` solves one
+rewritten system per equation.  Each yields ``(bad, detail)`` for every
+failing comparison, in the order the suites report them, ``bad`` holding
+one bit per failing parameter slice.  The arguments are those of a suite's
+violations, ``(system, pbits, ones, subsets)``.
 """
 
 from __future__ import annotations
 
-from bes.core import IndexSet, Valuation, masked_iterates
+from bes.core import (
+    And,
+    Const,
+    Formula,
+    IndexSet,
+    Or,
+    System,
+    Valuation,
+    Var,
+    kleene_lfp,
+    masked_iterates,
+)
 from bes.props import _pruned_term_values, _subsets
+
+
+def substitute_var(f: Formula, index: int, replacement: Formula) -> Formula:
+    """Replace every occurrence of the given state variable in f."""
+    if isinstance(f, Var):
+        return replacement if f.index == index else f
+    if isinstance(f, And):
+        return And(
+            substitute_var(f.left, index, replacement),
+            substitute_var(f.right, index, replacement),
+        )
+    if isinstance(f, Or):
+        return Or(
+            substitute_var(f.left, index, replacement),
+            substitute_var(f.right, index, replacement),
+        )
+    return f
+
+
+def zero_own_variable(system: System, i: int) -> System:
+    """The system with x_i replaced by 0 inside f_i."""
+    formulas = list(system.formulas)
+    formulas[i] = substitute_var(formulas[i], i, Const(0))
+    return System(tuple(formulas), system.var_names, system.param_names)
 
 
 def masking_preserves_iterates(system, pbits, ones, subsets):
@@ -69,3 +105,18 @@ def masked_le_pruned(system, pbits, ones, subsets):
                         f"masked={sorted(masked)} equation={system.var_names[i]} m={m}: "
                         f"masked application exceeds the pruned term"
                     )
+
+
+def self_substitution(system, pbits, ones, subsets):
+    """Replacing x_i by 0 inside its own equation preserves the least
+    fixpoint, checked on n rewritten systems."""
+    base, _ = kleene_lfp(system, pbits, ones)
+    for i in range(system.n):
+        other, _ = kleene_lfp(zero_own_variable(system, i), pbits, ones)
+        for j in range(system.n):
+            bad = (base[j] ^ other[j]) & ones
+            if bad:
+                yield bad, (
+                    f"zeroing {system.var_names[i]} inside its own equation "
+                    f"changed the fixpoint at {system.var_names[j]}"
+                )

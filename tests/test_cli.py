@@ -82,7 +82,29 @@ class TestSolve:
         assert "Traceback" not in err
 
 
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestBuild:
+    def test_long_cycle_pruned_is_a_clean_error(self, tmp_path, capsys):
+        # x_i = x_{i+1 mod n}: the pruned recursion nests one call per equation
+        n = 1500
+        path = tmp_path / "cycle.bes"
+        path.write_text("".join(f"x{i} = x{(i + 1) % n};\n" for i in range(n)))
+        assert main(["build", str(path), "--form", "pruned", "--emit", "let"]) == 3
+        _assert_one_error_line(capsys)
+
+    def test_wide_dimacs_is_a_clean_error(self, tmp_path, capsys):
+        # 3000 disjuncts parse into a left-deep chain the CNF encoding recurses through
+        path = tmp_path / "wide.bes"
+        path.write_text("x = " + " | ".join(["x"] * 3000) + ";\n")
+        argv = ["build", str(path), "--form", "pruned", "--emit", "dimacs", "--query", "x=1"]
+        assert main(argv) == 3
+        _assert_one_error_line(capsys)
+
     def test_sexpr_chain(self, tmp_path, capsys):
         path = tmp_path / "chain.bes"
         path.write_text("f1 = f1 | f2; f2 = f1 | f2;\n")

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bes import props
 from bes.core import (
     And,
     Const,
@@ -9,16 +12,17 @@ from bes.core import (
     Param,
     System,
     Var,
+    _settle,
     eval_formula,
     greatest_fixpoint,
     kleene_lfp,
     masked_iterates,
     param_masks,
-    substitute_var,
     support,
 )
 from bes.gen import gen_random_monotone
 from bes.text import parse_system
+from masked_oracle import zero_own_variable
 
 
 def systems(max_n=5, max_params=2, max_depth=4):
@@ -440,11 +444,50 @@ class TestSelfSubstitution:
         for seed in range(80):
             s = gen_random_monotone(seed % 4 + 1, seed % 2, 4, seed)
             for i in range(s.n):
-                formulas = list(s.formulas)
-                formulas[i] = substitute_var(formulas[i], i, Const(0))
-                rewritten = System(tuple(formulas), s.var_names, s.param_names)
+                rewritten = zero_own_variable(s, i)
                 for p in all_params(s.num_params):
                     assert kleene_lfp(s, p)[0] == kleene_lfp(rewritten, p)[0]
+
+    @pytest.mark.parametrize("swept", [True, False], ids=["swept", "explicit"])
+    def test_lane_blocks_are_the_rewritten_fixpoints(self, swept):
+        # block 0 of the lane settle is the system's least fixpoint, block
+        # i + 1 that of the system with x_i replaced by 0 inside f_i
+        rng = random.Random(1984)
+        for _ in range(120):
+            s = gen_random_monotone(rng.randint(1, 8), rng.randint(0, 3), 4, rng.randrange(2**62))
+            if swept:
+                pbits, ones = param_masks(s.num_params)
+            else:
+                pbits, ones = tuple(rng.randint(0, 1) for _ in range(s.num_params)), 1
+            width = ones.bit_length()
+            lanes = props._self_substituted(s, pbits, ones)
+            blocks = [tuple(v >> k * width & ones for v in lanes) for k in range(s.n + 1)]
+            assert blocks[0] == kleene_lfp(s, pbits, ones)[0]
+            for i in range(s.n):
+                assert blocks[i + 1] == kleene_lfp(zero_own_variable(s, i), pbits, ones)[0]
+
+    def test_own_variable_reads_zero_from_a_top_start(self):
+        # x = x; from all ones: block 0 stays 1, while block 1 reads x as 0
+        # inside its own equation and falls to 0, the gfp of x = 0
+        s = parse_system("x = x;")
+        assert _settle(s, [0b11], (), 0b11, [0b10]) == ((0b01,), 1)
+        assert greatest_fixpoint(s) == ((1,), 0)
+        assert greatest_fixpoint(zero_own_variable(s, 0)) == ((0,), 1)
+
+    def test_top_start_blocks_are_the_rewritten_gfps(self):
+        # where own matters: from all ones, block i + 1 settles to the greatest
+        # fixpoint of the system with x_i replaced by 0 inside f_i
+        rng = random.Random(1997)
+        for _ in range(120):
+            s = gen_random_monotone(rng.randint(1, 8), rng.randint(0, 3), 4, rng.randrange(2**62))
+            p = tuple(rng.randint(0, 1) for _ in range(s.num_params))
+            every = (1 << s.n + 1) - 1
+            own = [1 << i + 1 for i in range(s.n)]
+            lanes, _ = _settle(s, [every] * s.n, tuple(every * b for b in p), every, own)
+            assert tuple(v & 1 for v in lanes) == greatest_fixpoint(s, p)[0]
+            for i in range(s.n):
+                block = tuple(v >> i + 1 & 1 for v in lanes)
+                assert block == greatest_fixpoint(zero_own_variable(s, i), p)[0]
 
 
 class TestSystemValidation:
@@ -483,7 +526,7 @@ DEFINED = {
     "core": {
         "And", "Const", "NonMonotoneError", "Or", "Param", "System", "Var",
         "decode_param_slice", "eval_formula", "greatest_fixpoint", "kleene_lfp",
-        "masked_iterates", "param_masks", "substitute_var", "support",
+        "masked_iterates", "param_masks", "support",
     },
     "dag": {
         "Apply", "DagStats", "PrunedBuilder", "TermDag", "build_expanded",

@@ -519,6 +519,17 @@ class TestFrozenDiscipline:
         assert len(dag) == 2
         assert dag.apply(0, (BOTTOM,)) == 2
 
+    def test_argument_ids_that_are_not_ints_rejected(self):
+        # a float id inside the table's range would be interned and fail
+        # only when node_values indexes its list with it
+        from bes.dag import TermDag
+
+        dag = TermDag([(0,)])
+        for arg in (0.5, 1.0, "1", None):
+            with pytest.raises(ValueError, match="is not the id of a node"):
+                dag.apply(0, (arg,))
+        assert len(dag) == 2
+
     def test_support_mismatch_rejected(self):
         # to_cnf reads each node's argument literals by position, and the
         # text emitters name each argument by it, so each must refuse a DAG

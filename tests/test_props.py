@@ -163,6 +163,15 @@ _reversed_plain = _iteration_fault(_reverse_plain)
 _flipped_first_masked_iterate = _iteration_fault(_flip_first_masked_iterate)
 
 
+_real_settle = core._settle
+
+
+def _own_lanes_settle_to_one(system, x, p, ones, own=None):
+    # every lane of own[i] settles to 1 at coordinate i
+    fixpoint, depth = _real_settle(system, x, p, ones, own)
+    return tuple(v | hidden for v, hidden in zip(fixpoint, own)), depth
+
+
 # One fault per suite, each standing in for a name ``props`` imports (a
 # "masked_iterates" row: see the next table), and the exact report on
 # "x = ?p | ?q; y = x & ?q;".  Slices count p as bit 0, so a
@@ -181,7 +190,7 @@ FAULT_TABLE = [
      "equation x: 0 at iterate 2 but 1 at iterate 0"),
     ("masked_le_pruned", "node_values", _all_zeros, None, (1, 0),
      "masked=[] equation=x m=0: masked application exceeds the pruned term"),
-    ("self_substitution", "substitute_var", lambda f, i, by: Const(1), None, (0, 0),
+    ("self_substitution", "_settle", _own_lanes_settle_to_one, None, (0, 0),
      "zeroing x inside its own equation changed the fixpoint at x"),
     ("memo_keys", "build_pruned_reference", _unrolled_zero_times, None, (1, 0),
      "builders disagree at x"),
@@ -259,8 +268,15 @@ def _zero_odd_nodes(dag, system, p=(), ones=1):
     return [0 if tid % 2 and tid > 1 else v for tid, v in enumerate(values)]
 
 
+def _start_at_top(system, x, p, ones, own=None):
+    # every settle loop starts from all ones, so kleene_lfp gives the gfp
+    x[:] = [ones] * len(x)
+    return _real_settle(system, x, p, ones, own)
+
+
 # Faults that reach the oracle and the lane suites alike: in masked iteration
-# through ``_iterates``, in the pruned values through node_values.
+# through ``_iterates``, in the pruned values through node_values, and in
+# the fixpoints through ``_settle``.
 SHARED_FAULTS = {
     "flipped-first-masked-iterate": ("_iterates", _flipped_first_masked_iterate),
     "reversed-plain": ("_iterates", _reversed_plain),
@@ -270,18 +286,21 @@ SHARED_FAULTS = {
     "overshooting-last-round": ("_iterates", _iteration_fault(_overshoot_last_round)),
     "flipped-last-node": ("node_values", _flip_last_node),
     "zeroed-odd-nodes": ("node_values", _zero_odd_nodes),
+    "starting-at-top": ("_settle", _start_at_top),
 }
 
 
 def _inject(monkeypatch, fault):
     name, fake = SHARED_FAULTS[fault]
-    if name == "_iterates":
-        _inject_iteration_fault(monkeypatch, fake)
-    else:
-        monkeypatch.setattr(props, name, fake)
+    if hasattr(core, name):
+        # a routine of core that props imports: the oracle reaches it in core
+        monkeypatch.setattr(core, name, fake)
+    monkeypatch.setattr(props, name, fake)
 
 
 LANE_SUITES = ["masking_preserves_iterates", "masked_le_pruned"]
+# The suites with a scalar form in ``masked_oracle``.
+ORACLE_SUITES = LANE_SUITES + ["self_substitution"]
 
 
 def _corpus_cases():
@@ -351,6 +370,7 @@ DIFFERENTIAL = [
     ("masked_le_pruned", "overshooting-last-round"),
     ("masked_le_pruned", "flipped-last-node"),
     ("masked_le_pruned", "zeroed-odd-nodes"),
+    ("self_substitution", "starting-at-top"),
 ]
 
 
@@ -387,7 +407,7 @@ class TestLanes:
             assert check(system, None, []) is None
             assert check(system, (1, 0), []) is None
 
-    @pytest.mark.parametrize("suite", LANE_SUITES)
+    @pytest.mark.parametrize("suite", ORACLE_SUITES)
     def test_clean_cases_pass(self, suite):
         assert not any(_oracle_reports(suite, CASES))
         assert not any(_suite_reports(suite, CASES))
@@ -445,14 +465,50 @@ LANE_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", list(LANE_FAULTS))
-@pytest.mark.parametrize("suite", LANE_SUITES)
-def test_lane_fault_is_caught(monkeypatch, suite, fault):
-    name, make = LANE_FAULTS[fault]
-    for shared in (None, "flipped-first-masked-iterate"):
+def _ignored_own(settle):
+    # every equation reads its own variable as it is, in every block
+    return lambda system, x, p, ones, own=None: settle(system, x, p, ones)
+
+
+def _rotated_own(settle):
+    # equation i reads its own variable as 0 in the block of equation i + 1
+    return lambda system, x, p, ones, own=None: settle(system, x, p, ones, own[1:] + own[:1])
+
+
+def _reversed_blocks(self_substituted):
+    # the lane fixpoint with its n + 1 blocks in reverse order
+    def fake(system, pbits, ones):
+        width, n = ones.bit_length(), system.n
+        lanes = self_substituted(system, pbits, ones)
+        return tuple(
+            props._blocks([v >> k * width & ones for k in reversed(range(n + 1))], width)
+            for v in lanes
+        )
+
+    return fake
+
+
+# The same for the self-substitution lanes.
+SELF_SUBSTITUTION_FAULTS = {
+    "ignored-own": ("_settle", _ignored_own),
+    "rotated-own": ("_settle", _rotated_own),
+    "reversed-blocks": ("_self_substituted", _reversed_blocks),
+}
+# (suite, fault in its lanes, the shared fault that makes the oracle report)
+LANE_FAULT_CASES = [
+    (suite, fault, "flipped-first-masked-iterate") for fault in LANE_FAULTS for suite in LANE_SUITES
+] + [("self_substitution", fault, "starting-at-top") for fault in SELF_SUBSTITUTION_FAULTS]
+
+
+@pytest.mark.parametrize(
+    "suite, fault, shared", LANE_FAULT_CASES, ids=[f"{s}-{f}" for s, f, _ in LANE_FAULT_CASES]
+)
+def test_lane_fault_is_caught(monkeypatch, suite, fault, shared):
+    name, make = {**LANE_FAULTS, **SELF_SUBSTITUTION_FAULTS}[fault]
+    for under in (None, shared):
         with monkeypatch.context() as patch:
-            if shared is not None:
-                _inject(patch, shared)
+            if under is not None:
+                _inject(patch, under)
             expected = _oracle_reports(suite, CASES)
             patch.setattr(props, name, make(getattr(props, name)))
             if _suite_reports(suite, CASES) != expected:
