@@ -18,7 +18,6 @@ from .core import (
     System,
     Valuation,
     Var,
-    eval_formula,
     greatest_fixpoint,
     kleene_lfp,
     masked_iterates,
@@ -77,7 +76,6 @@ __all__ = [
     "build_pruned",
     "dag_stats",
     "eval_dag",
-    "eval_formula",
     "format_system",
     "gen_family",
     "gen_random_monotone",

@@ -34,10 +34,6 @@ EXIT_SEMANTIC = 3
 EXIT_IO = 4
 
 
-class SemanticError(Exception):
-    pass
-
-
 def _read_system(path: str) -> System:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_system(fh.read())
@@ -59,15 +55,15 @@ def _parse_params(system: System, assignment: str | None) -> ParamAssignment:
             name = name.strip()
             bit = bit.strip()
             if name not in system.param_names:
-                raise SemanticError(f"unknown parameter {name!r}")
+                raise ValueError(f"unknown parameter {name!r}")
             if bit not in ("0", "1"):
-                raise SemanticError(f"parameter {name!r} needs a 0/1 value")
+                raise ValueError(f"parameter {name!r} needs a 0/1 value")
             if name in given:
-                raise SemanticError(f"parameter {name!r} is assigned twice")
+                raise ValueError(f"parameter {name!r} is assigned twice")
             given[name] = int(bit)
     missing = [name for name in system.param_names if name not in given]
     if missing:
-        raise SemanticError(
+        raise ValueError(
             "unassigned parameters: " + ", ".join(missing) + " (use --params name=bit,...)"
         )
     return tuple(given[name] for name in system.param_names)
@@ -90,7 +86,7 @@ def _cmd_solve(args) -> int:
 def _build_dag(system: System, form: str, depth: int | None, gfp: bool) -> TermDag:
     if form == "pruned":
         if depth is not None:
-            raise SemanticError("--depth applies to the expanded form only")
+            raise ValueError("--depth applies to the expanded form only")
         dag = build_pruned(system)
     else:
         dag = build_expanded(system, depth)
@@ -108,12 +104,12 @@ def _cmd_build(args) -> int:
         out = to_dot(dag, system)
     else:
         if args.query is None:
-            raise SemanticError("--emit dimacs requires --query var=bit")
+            raise ValueError("--emit dimacs requires --query var=bit")
         name, _, bit = args.query.partition("=")
         if name not in system.var_names:
-            raise SemanticError(f"unknown variable {name!r} in --query")
+            raise ValueError(f"unknown variable {name!r} in --query")
         if bit not in ("0", "1"):
-            raise SemanticError("--query needs a 0/1 value")
+            raise ValueError("--query needs a 0/1 value")
         cnf = to_cnf(dag, system, (system.var_names.index(name), int(bit)))
         out = write_dimacs(cnf)
     _write_out(out, args.out)
@@ -167,7 +163,7 @@ def _dump_counterexample(cex: props.Counterexample) -> str:
 
 def _cmd_verify(args) -> int:
     if args.trials < 1:
-        raise SemanticError(f"--trials={args.trials} checks nothing; give at least 1")
+        raise ValueError(f"--trials={args.trials} checks nothing; give at least 1")
     failures: list[props.Counterexample] = []
     if args.random:
         tallies = props.run_random_battery(args.trials, args.seed, args.max_n)
@@ -178,7 +174,7 @@ def _cmd_verify(args) -> int:
                 failures.extend(tally.failures)
     else:
         if args.file is None:
-            raise SemanticError("verify needs a file or --random")
+            raise ValueError("verify needs a file or --random")
         system = _read_system(args.file)
         subsets = None
         if system.n > props._MAX_EXHAUSTIVE_N:
@@ -208,7 +204,7 @@ def _cmd_gen(args) -> int:
     n = args.n
     if n is None:
         if args.family != "sparse3":
-            raise SemanticError("--n is required for this family")
+            raise ValueError("--n is required for this family")
         n = 3
     spec = FamilySpec(args.family, n, args.seed, args.density)
     _write_out(format_system(gen_family(spec)), args.out)
@@ -316,7 +312,7 @@ def main(argv=None) -> int:
     except BesParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SYNTAX if err.kind == "syntax" else EXIT_SEMANTIC
-    except (SemanticError, TreeSizeLimitError, ValueError) as err:
+    except (TreeSizeLimitError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SEMANTIC
     except OSError as err:

@@ -24,6 +24,7 @@ import re
 
 Valuation = tuple[int, ...]        # one bit per state variable
 ParamAssignment = tuple[int, ...]  # one bit per parameter
+_Program = tuple[list[tuple[type, int, int]], int]  # gates and output slot (see _gate_list)
 IndexSet = frozenset[int]          # set of variable indices
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a name; the text tokenizer uses it too
@@ -150,25 +151,64 @@ class System:
                 readers[j].append(i)
         return tuple(map(tuple, readers))
 
+    @cached_property
+    def _programs(self) -> tuple[_Program, ...]:
+        """Each equation compiled once into its gate list (see ``_gate_list``)."""
+        num_params = self.num_params
+        return tuple(_gate_list(f, s, num_params) for f, s in zip(self.formulas, self._supports))
 
-def eval_formula(f: Formula, x: Sequence[int], p: ParamAssignment, ones: int = 1) -> int:
-    """Value of f under state bits x and parameter bits p.
 
-    Bits may be packed bitmasks covering many scenarios at once; ``ones``
-    must then be the all-ones mask of that width.
+def _gate_list(f: Formula, support: tuple[int, ...], num_params: int) -> _Program:
+    """Post-order gate list of one equation's formula, and its output slot.
+
+    Slots name the values a gate reads and writes: first the equation's
+    support variables in support order, then each parameter's positive and
+    negated literal, then the gate outputs in list order.  A gate is
+    ``(And|Or, left slot, right slot)``, or ``(Const, value, 0)`` for a
+    constant.  This is the one compiled form of an equation: ``_run``
+    evaluates it and ``emit.to_cnf`` encodes it.
     """
-    if isinstance(f, Var):
-        return x[f.index]
-    if isinstance(f, And):
-        return eval_formula(f.left, x, p, ones) & eval_formula(f.right, x, p, ones)
-    if isinstance(f, Or):
-        return eval_formula(f.left, x, p, ones) | eval_formula(f.right, x, p, ones)
-    if isinstance(f, Param):
-        bit = p[f.index]
-        return (bit ^ ones) if f.negated else bit
-    if isinstance(f, Const):
-        return ones if f.value else 0
-    raise TypeError(f"not a formula node: {f!r}")
+    slot_of_var = {v: k for k, v in enumerate(support)}
+    param_base = len(support)
+    gate_base = param_base + 2 * num_params
+    gates: list[tuple[type, int, int]] = []
+
+    def slot(g: Formula) -> int:
+        if isinstance(g, Var):
+            return slot_of_var[g.index]
+        if isinstance(g, Param):
+            return param_base + 2 * g.index + g.negated
+        if isinstance(g, Const):
+            gates.append((Const, g.value, 0))
+        elif isinstance(g, (And, Or)):
+            left = slot(g.left)
+            right = slot(g.right)
+            gates.append((type(g), left, right))
+        else:
+            raise TypeError(f"not a formula node: {g!r}")
+        return gate_base + len(gates) - 1
+
+    out = slot(f)
+    return gates, out
+
+
+def _run(program: _Program, slots: list[int], ones: int) -> int:
+    """Value of a compiled equation (see ``_gate_list``).
+
+    ``slots`` holds the equation's support values, then each parameter's
+    bits and their complement; each gate's value is appended to it.  Bits
+    may be packed bitmasks covering many scenarios at once; ``ones`` is then
+    the all-ones mask of that width.
+    """
+    gates, out = program
+    for op, a, b in gates:
+        if op is And:
+            slots.append(slots[a] & slots[b])
+        elif op is Or:
+            slots.append(slots[a] | slots[b])
+        else:
+            slots.append(ones if a else 0)
+    return slots[out]
 
 
 def _check_params(system: System, p: ParamAssignment, ones: int) -> None:
@@ -205,8 +245,10 @@ def _changing_rounds(
     iterate, so the rounds are the parallel applications x^{k+1} = f(x^k)
     themselves.
     """
-    formulas = system.formulas
+    supports = system._supports
+    programs = system._programs
     readers = system._readers
+    pslots = [lit for bits in p for lit in (bits, bits ^ ones)]
     pinned = {i for i, lanes in enumerate(live) if not lanes}
     dirty = set(range(system.n)).difference(pinned)
     while True:
@@ -215,7 +257,9 @@ def _changing_rounds(
             xi = x[i]
             if own is not None:
                 x[i] = xi & ~own[i]  # hidden from f_i for this evaluation only
-            value = eval_formula(formulas[i], x, p, ones) & live[i]
+            slots = [x[v] for v in supports[i]]
+            slots += pslots
+            value = _run(programs[i], slots, ones) & live[i]
             x[i] = xi
             if value != xi:
                 changed.append((i, value))

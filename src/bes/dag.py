@@ -30,13 +30,7 @@ from dataclasses import dataclass
 from itertools import compress, islice
 from typing import NamedTuple
 
-from .core import (
-    ParamAssignment,
-    System,
-    Valuation,
-    _check_params,
-    eval_formula,
-)
+from .core import ParamAssignment, System, Valuation, _check_params, _run
 
 BOTTOM = 0
 TOP = 1
@@ -102,10 +96,15 @@ class TermDag:
         if self._roots is not None:
             raise RuntimeError("DAG is frozen")
         node = (func, ids)
-        tid = self._index.get(node)
+        try:
+            tid = self._index.get(node)
+        except TypeError:  # unhashable: a list of ids, say; refused below
+            tid = None
         if tid is None:
-            if not 0 <= func < self.arity:
-                raise ValueError("equation index out of range")
+            if not (isinstance(func, int) and 0 <= func < self.arity):
+                raise ValueError(f"equation index {func!r} is not an int in range({self.arity})")
+            if not isinstance(ids, tuple):
+                raise ValueError(f"argument ids {ids!r} are not a tuple")
             if len(ids) != len(self.supports[func]):
                 raise ValueError("argument count does not match the equation's support")
             tid = len(self._nodes)
@@ -262,16 +261,13 @@ def node_values(
     """Value of every node in table order, computed bottom-up in one pass."""
     _check_layout(dag, system)
     _check_params(system, p, ones)
-    supports = dag.supports
-    formulas = system.formulas
-    # One argument buffer serves every node: a node writes exactly the
-    # support slots of its equation, which are all that equation reads.
-    x = [0] * system.n
+    programs = system._programs
+    pslots = [lit for bits in p for lit in (bits, bits ^ ones)]
     values = [0, ones]
     for func, ids in islice(dag.table, 2, None):
-        for v, arg in zip(supports[func], ids):
-            x[v] = values[arg]
-        values.append(eval_formula(formulas[func], x, p, ones))
+        slots = [values[a] for a in ids]
+        slots += pslots
+        values.append(_run(programs[func], slots, ones))
     return values
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import And, Const, Formula, Param, System, Var
+from .core import And, Const, System
 from .dag import BOTTOM, TOP, TermDag, _check_layout, dag_stats
 
 DEFAULT_TREE_SIZE_LIMIT = 1_000_000
@@ -147,39 +147,6 @@ class CnfFormula:
                     raise ValueError(f"literal {lit} out of range")
 
 
-def _gate_list(
-    f: Formula, support: tuple[int, ...], num_params: int
-) -> tuple[list[tuple[type, int, int]], int]:
-    """Post-order gate list of one equation's formula, and its output slot.
-
-    Slots name the literals a node's encoding reads and writes: first the
-    node's support literals in support order, then each parameter's
-    positive and negated literal, then the gate outputs in list order.  A
-    gate is ``(And|Or, left slot, right slot)``, or ``(Const, value, 0)``
-    for a constant, whose shared variable is allocated at its first use.
-    """
-    slot_of_var = {v: k for k, v in enumerate(support)}
-    param_base = len(support)
-    gate_base = param_base + 2 * num_params
-    gates: list[tuple[type, int, int]] = []
-
-    def slot(g: Formula) -> int:
-        if isinstance(g, Var):
-            return slot_of_var[g.index]
-        if isinstance(g, Param):
-            return param_base + 2 * g.index + g.negated
-        if isinstance(g, Const):
-            gates.append((Const, g.value, 0))
-        else:
-            left = slot(g.left)
-            right = slot(g.right)
-            gates.append((type(g), left, right))
-        return gate_base + len(gates) - 1
-
-    out = slot(f)
-    return gates, out
-
-
 def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
     """Tseitin encoding of the DAG with a unit clause pinning one root.
 
@@ -189,12 +156,13 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
     exactly when some parameter assignment makes that root evaluate to that
     bit.
 
-    Each equation is compiled once, at its first node, into a post-order
-    gate list over slots (see ``_gate_list``).  Every node of that equation
-    replays the list: it takes a fresh variable, fills the slots with its
-    arguments' variables and the parameter literals, gives each And/Or gate
-    the next variable and its three clauses, and ties its own variable to
-    the output slot with two clauses.
+    Every node replays its equation's gate list, the one ``System`` compiles
+    once (see ``core._gate_list``), over literal slots: it takes a fresh
+    variable, fills the slots with its arguments' variables and the
+    parameter literals, gives each And/Or gate the next variable and its
+    three clauses, each constant gate the variable of its value (allocated
+    at its first use), and ties its own variable to the output slot with
+    two clauses.
     """
     qvar, qbit = query
     if not 0 <= qvar < system.n:
@@ -204,12 +172,11 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
     _check_layout(dag, system)
 
     names = system.var_names
-    supports = dag.supports
     table = dag.table
+    programs = system._programs
     num_params = len(system.param_names)
     node_map = {k + 1: f"param {name}" for k, name in enumerate(system.param_names)}
     param_lits = [lit for k in range(1, num_params + 1) for lit in (k, -k)]
-    gate_lists: list[tuple[list[tuple[type, int, int]], int] | None] = [None] * system.n
     const_var: dict[int, int] = {}
     clauses: list[tuple[int, ...]] = []
     node_var = [0] * len(dag)
@@ -224,12 +191,7 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
         func, ids = table[tid]
         lits = [node_var[arg] for arg in ids]
         node_map[v] = f"term {tid} {names[func]}"
-        compiled = gate_lists[func]
-        if compiled is None:
-            compiled = gate_lists[func] = _gate_list(
-                system.formulas[func], supports[func], num_params
-            )
-        gates, out = compiled
+        gates, out = programs[func]
         lits += param_lits
         for op, a, b in gates:
             if op is Const:

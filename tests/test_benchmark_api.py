@@ -7,6 +7,8 @@ here imports the benchmark; each test pins one shape it relies on.
 
 import dataclasses
 
+import pytest
+
 import bes.core
 import bes.dag
 import bes.emit
@@ -99,3 +101,28 @@ def test_generators_and_text():
     assert chain.var_names == ("f1", "f2", "f3", "f4") and chain.param_names == ()
     s = bes.text.parse_system(TEXT)
     assert bes.text.parse_system(bes.text.format_system(s)) == s
+
+
+def test_wide_equation_failures():
+    """The benchmark's one planned failure, pinned where tier-1 sees it.
+
+    ``deep-solve`` holds a system of four equations, one a disjunction of
+    3000 terms, which the parser reads as a left-deep chain of binary ``|``
+    nodes.  ``perfbench/tests/test_smoke.py`` expects exactly these four
+    calls on it to raise ``RecursionError`` (its ``WIDE_FAILURES``), and
+    the workload's ``cnf_clauses`` counts no clause of it.  The change that
+    makes them work (ROADMAP item 2: an iterative ``_gate_list`` and
+    ``_format_formula``) changes the benchmark's expected figures with it.
+    """
+    terms = " | ".join(f"w{t % 4} & {'!' if t % 2 else ''}?r{t % 3 + 1}" for t in range(3000))
+    s = bes.text.parse_system(f"w0 = {terms};\nw1 = w0 & ?r1;\nw2 = w1 | ?r2;\nw3 = w2 & w3;\n")
+    masks, ones = bes.core.param_masks(s.num_params)
+    dag = bes.dag.build_expanded(s, 4)
+    with pytest.raises(RecursionError):
+        bes.text.format_system(s)
+    with pytest.raises(RecursionError):
+        bes.core.kleene_lfp(s, masks, ones)
+    with pytest.raises(RecursionError):
+        bes.dag.eval_dag(dag, s, masks, ones)
+    with pytest.raises(RecursionError):
+        bes.emit.to_cnf(dag, s, (0, 1))

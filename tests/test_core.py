@@ -12,8 +12,9 @@ from bes.core import (
     Param,
     System,
     Var,
+    _run,
     _settle,
-    eval_formula,
+    decode_param_slice,
     greatest_fixpoint,
     kleene_lfp,
     masked_iterates,
@@ -22,6 +23,7 @@ from bes.core import (
 )
 from bes.gen import gen_random_monotone
 from bes.text import parse_system
+from formula_oracle import eval_formula
 from masked_oracle import zero_own_variable
 
 
@@ -55,42 +57,100 @@ def tuple_le(x, y):
     return all(a <= b for a, b in zip(x, y))
 
 
+def compiled(s, i, x, p, ones=1):
+    """f_i of s under x and p, through the gate list s compiled for it."""
+    slots = [x[v] for v in s._supports[i]]
+    for bits in p:
+        slots += [bits, bits ^ ones]
+    return _run(s._programs[i], slots, ones)
+
+
+def system_of(formulas, n, num_params):
+    """The formulas as the first equations of a system over at least n variables."""
+    formulas = tuple(formulas) + (Const(0),) * (n - len(formulas))
+    names = tuple(f"x{i}" for i in range(len(formulas)))
+    return System(formulas, names, tuple(f"p{k}" for k in range(num_params)))
+
+
+def run_formula(f, x, p, ones=1):
+    """f under x and p, as equation 0 of a system over len(x) variables."""
+    return compiled(system_of([f], len(x), len(p)), 0, x, p, ones)
+
+
+def brute(f, x, p):
+    """Truth-table interpreter of one scalar assignment."""
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, Var):
+        return x[f.index]
+    if isinstance(f, Param):
+        return 1 - p[f.index] if f.negated else p[f.index]
+    l, r = brute(f.left, x, p), brute(f.right, x, p)
+    return l and r if isinstance(f, And) else l or r
+
+
+def agree_on_every_lane(formulas, n, num_params):
+    """Evaluate each formula, as an equation of one system, over every
+    assignment of n variables and num_params parameters: packed in one run
+    against the tree-walk oracle, and lane by lane, scalar, against the
+    oracle and the truth table."""
+    s = system_of(formulas, n, num_params)
+    masks, ones = param_masks(n + num_params)
+    x, p = masks[:n], masks[n:]
+    lanes = [
+        (decode_param_slice(n, j), decode_param_slice(num_params, j >> n))
+        for j in range(ones.bit_length())
+    ]
+    for i, f in enumerate(formulas):
+        packed = compiled(s, i, x, p, ones)
+        assert packed == eval_formula(f, x, p, ones), f
+        for j, (xj, pj) in enumerate(lanes):
+            bit = compiled(s, i, xj, pj)
+            assert bit == eval_formula(f, xj, pj) == brute(f, xj, pj) == (packed >> j) & 1, (f, j)
+
+
 class TestEvalFormula:
+    """``System._programs`` run by ``core._run`` against the tree-walk oracle."""
+
     def test_const(self):
-        assert eval_formula(Const(0), (1, 1), ()) == 0
-        assert eval_formula(Const(1), (0,), ()) == 1
+        assert run_formula(Const(0), (1, 1), ()) == 0
+        assert run_formula(Const(1), (0,), ()) == 1
+        assert run_formula(Const(1), (0,), (), ones=0b111) == 0b111
 
     def test_projection(self):
-        assert eval_formula(Var(0), (1, 0), ()) == 1
-        assert eval_formula(Var(1), (1, 0), ()) == 0
+        assert run_formula(Var(0), (1, 0), ()) == 1
+        assert run_formula(Var(1), (1, 0), ()) == 0
 
     def test_nested(self):
         # a & (b | 1) at x=(1,0); truth-table check by hand: 1 & (0 | 1) = 1
         f = And(Var(0), Or(Var(1), Const(1)))
-        assert eval_formula(f, (1, 0), ()) == 1
-        assert eval_formula(f, (0, 1), ()) == 0
+        assert run_formula(f, (1, 0), ()) == 1
+        assert run_formula(f, (0, 1), ()) == 0
 
     def test_param_polarity(self):
-        assert eval_formula(Param(0), (), (1,)) == 1
-        assert eval_formula(Param(0, negated=True), (), (1,)) == 0
-        assert eval_formula(Param(0, negated=True), (), (0,)) == 1
+        assert run_formula(Param(0), (), (1,)) == 1
+        assert run_formula(Param(0, negated=True), (), (1,)) == 0
+        assert run_formula(Param(0, negated=True), (), (0,)) == 1
+        assert run_formula(And(Param(1, True), Param(0)), (), (0b01, 0b10), ones=0b11) == 0b01
 
     def test_truth_table_oracle(self):
-        # compare against a brute-force interpreter over all inputs
-        def brute(f, x, p):
-            if isinstance(f, Const):
-                return f.value
-            if isinstance(f, Var):
-                return x[f.index]
-            if isinstance(f, Param):
-                return 1 - p[f.index] if f.negated else p[f.index]
-            l, r = brute(f.left, x, p), brute(f.right, x, p)
-            return l and r if isinstance(f, And) else l or r
-
         f = Or(And(Var(0), Param(0, True)), And(Var(1), Or(Const(0), Param(1))))
-        for x in all_valuations(2):
-            for p in all_params(2):
-                assert eval_formula(f, x, p) == brute(f, x, p)
+        agree_on_every_lane([f], 2, 2)
+
+    def test_every_formula_of_depth_two(self):
+        # every And/Or tree of depth at most 2 over three variables, both
+        # constants and both literals of one parameter
+        leaves = [Const(0), Const(1), Var(0), Var(1), Var(2), Param(0), Param(0, True)]
+        shallow = leaves + [op(a, b) for op in (And, Or) for a in leaves for b in leaves]
+        formulas = leaves + [op(a, b) for op in (And, Or) for a in shallow for b in shallow]
+        assert len(formulas) == 7 + 2 * 105 * 105
+        agree_on_every_lane(formulas, 3, 1)
+
+    def test_emitter_corpus(self):
+        from test_emit import corpus
+
+        for s, _ in corpus():
+            agree_on_every_lane(s.formulas, s.n, s.num_params)
 
 
 class TestStep:
@@ -293,14 +353,14 @@ class TestChangeDrivenIteration:
         n = 1000
         s = parse_system("d0 = 1;\n" + "".join(f"d{i} = d{i - 1};\n" for i in range(1, n)))
         calls = 0
-        real = bes.core.eval_formula
+        real = bes.core._run
 
-        def counting(f, x, p, ones=1):
+        def counting(program, slots, ones):
             nonlocal calls
             calls += 1
-            return real(f, x, p, ones)
+            return real(program, slots, ones)
 
-        monkeypatch.setattr(bes.core, "eval_formula", counting)
+        monkeypatch.setattr(bes.core, "_run", counting)
         assert kleene_lfp(s) == ((1,) * n, n)
         # n in the first round, then one reader per round; the round-based
         # loop made n * (n + 1)
@@ -312,12 +372,12 @@ class TestChangeDrivenIteration:
         s = parse_system("a = b; b = c; c = a;")
         calls = 0
 
-        def negated(f, x, p, ones=1):
+        def negated(program, slots, ones):
             nonlocal calls
             calls += 1
-            return x[f.index] ^ ones
+            return slots[program[1]] ^ ones
 
-        monkeypatch.setattr(bes.core, "eval_formula", negated)
+        monkeypatch.setattr(bes.core, "_run", negated)
         with pytest.raises(NonMonotoneError):
             kleene_lfp(s)
         assert calls == s.n * (s.n + 1)
@@ -329,16 +389,21 @@ class TestSupportCache:
     def test_cache_is_invisible(self):
         import dataclasses
 
+        caches = {"_supports", "_readers", "_programs"}
         warm, cold = parse_system(self.TEXT), parse_system(self.TEXT)
         fields_before = dataclasses.fields(warm)
         assert warm.supports() == [(1,), (0, 2), ()]
         kleene_lfp(warm, (1,))
+        assert caches <= vars(warm).keys() and not caches & vars(cold).keys()
         assert warm == cold and cold == warm
         assert hash(warm) == hash(cold)
         assert repr(warm) == repr(cold)
         assert dataclasses.fields(warm) == fields_before
         assert [f.name for f in fields_before] == ["formulas", "var_names", "param_names"]
         assert dataclasses.replace(warm) == cold
+        renamed = dataclasses.replace(warm, var_names=("u", "v", "w"))
+        assert not caches & vars(renamed).keys()
+        assert renamed._programs == warm._programs == cold._programs
 
     def test_returned_list_is_a_copy(self):
         s = parse_system(self.TEXT)
@@ -513,7 +578,7 @@ class TestSystemValidation:
         assert System((And(Const(1), Const(0)),), ("x",)).n == 1
 
     def test_rejects_non_formula_nodes(self):
-        # caught here, not later as a TypeError deep inside eval_formula
+        # caught here, not later as a TypeError deep inside _gate_list
         for bad in ("junk", Or(Var(0), 1), And(None, Var(0))):
             with pytest.raises(ValueError, match="not a formula node"):
                 System((bad,), ("x",))
@@ -525,7 +590,7 @@ class TestSystemValidation:
 DEFINED = {
     "core": {
         "And", "Const", "NonMonotoneError", "Or", "Param", "System", "Var",
-        "decode_param_slice", "eval_formula", "greatest_fixpoint", "kleene_lfp",
+        "decode_param_slice", "greatest_fixpoint", "kleene_lfp",
         "masked_iterates", "param_masks", "support",
     },
     "dag": {

@@ -18,6 +18,7 @@ from bes.dag import (
 from bes.gen import FamilySpec, gen_family, gen_random_monotone
 from bes.props import SUITES
 from bes.text import parse_system
+from formula_oracle import eval_formula
 
 
 def systems(max_n=5, max_params=2, max_depth=4):
@@ -40,8 +41,6 @@ def tree_eval(dag, system, tid, p=()):
     x = [0] * system.n
     for v, arg in node.args:
         x[v] = tree_eval(dag, system, arg, p)
-    from bes.core import eval_formula
-
     return eval_formula(system.formulas[node.func], tuple(x), p)
 
 
@@ -346,7 +345,6 @@ class TestRootUnrolling:
         # application with the finished root value for v cannot change the
         # value: the variant is squeezed between the pruned value and the
         # fixpoint coordinate, which coincide
-        from bes.core import eval_formula
         from bes.dag import node_values
 
         for seed in range(60):
@@ -529,6 +527,22 @@ class TestFrozenDiscipline:
             with pytest.raises(ValueError, match="is not the id of a node"):
                 dag.apply(0, (arg,))
         assert len(dag) == 2
+
+    def test_equation_index_and_id_tuple_of_other_types_rejected(self):
+        # refused like the other malformed nodes, not as a TypeError from
+        # indexing the supports or hashing the node; a frozenset of ids
+        # would be interned with its ids in no fixed order
+        from bes.dag import TermDag
+
+        dag = TermDag([(0,)])
+        for func, ids in (
+            (0.0, (BOTTOM,)), ("0", (BOTTOM,)), (None, (BOTTOM,)),
+            (0, [BOTTOM]), (0, frozenset({BOTTOM})), (0, ([BOTTOM],)),
+        ):
+            with pytest.raises(ValueError):
+                dag.apply(func, ids)
+        assert len(dag) == 2
+        assert dag.apply(0, (BOTTOM,)) == 2
 
     def test_support_mismatch_rejected(self):
         # to_cnf reads each node's argument literals by position, and the
