@@ -16,7 +16,7 @@ immutable and side-effect free.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -152,6 +152,22 @@ class System:
         return tuple(map(tuple, readers))
 
     @cached_property
+    def _cones(self) -> tuple[int, ...]:
+        """For each variable, the bitmask of the variables reachable from it, itself included."""
+        supports = self._supports
+        cones: list[int] = []
+        for start in range(self.n):
+            seen = 1 << start
+            stack = [start]
+            while stack:
+                for w in supports[stack.pop()]:
+                    if not seen >> w & 1:
+                        seen |= 1 << w
+                        stack.append(w)
+            cones.append(seen)
+        return tuple(cones)
+
+    @cached_property
     def _programs(self) -> tuple[_Program, ...]:
         """Each equation compiled once into its gate list (see ``_gate_list``)."""
         num_params = self.num_params
@@ -221,6 +237,14 @@ def _check_params(system: System, p: ParamAssignment, ones: int) -> None:
             raise ValueError(
                 f"parameter bits {bits:#x} lie outside the {ones.bit_length()}-bit mask"
             )
+
+
+def _check_masked(system: System, sets: Iterable[IndexSet]) -> None:
+    """Refuse a masked set with an index outside 0..n-1."""
+    indices = frozenset(range(system.n))
+    for s in sets:
+        if not indices.issuperset(s):
+            raise ValueError(f"masked set {sorted(s)} has an index outside 0..{system.n - 1}")
 
 
 def _changing_rounds(
@@ -342,6 +366,7 @@ def masked_iterates(
     if m < 0:
         raise ValueError("iteration count must be nonnegative")
     _check_params(system, p, ones)
+    _check_masked(system, (masked,))
     return _iterates(system, [0 if i in masked else ones for i in range(system.n)], m, p, ones)
 
 

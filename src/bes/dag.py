@@ -144,46 +144,27 @@ class TermDag:
         return list(compress(range(len(nodes)), marks))
 
 
-def _cones(system: System) -> list[int]:
-    """For each variable, the bitmask of the variables reachable from it, itself included."""
-    supports = system.supports()
-    cones: list[int] = []
-    for start in range(system.n):
-        seen = 1 << start
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in supports[v]:
-                if not seen >> w & 1:
-                    seen |= 1 << w
-                    stack.append(w)
-        cones.append(seen)
-    return cones
-
-
 class PrunedBuilder:
     """Shared construction of pruned subterms for any (masked set, equation) pair.
 
-    A masked set is an int bitmask, bit i standing for equation i.
-    ``canonical_keys`` switches the memo key between the raw masked set and
-    its restriction to the equation's cone, the indices consultable from it;
-    both produce semantically identical terms, the restricted key just
-    shares more work.  The equation's own index is in its cone but never in
-    a key: ``term`` returns bottom before forming one when it is masked.
+    A masked set is an int bitmask, bit i standing for equation i.  The memo
+    key keeps ``masked & _key_sets[i]``: the masked set restricted to the
+    equation's cone (``System._cones``), or with ``canonical_keys=False`` all
+    of it, which builds the same terms with less sharing.  The equation's own
+    index is in its cone but never in a key: ``term`` returns bottom first.
     """
 
     def __init__(self, system: System, canonical_keys: bool = True):
-        self.dag = TermDag(system.supports())
+        self.dag = TermDag(system._supports)
         self._memo: dict[tuple[int, int], int] = {}
-        self._key_sets = _cones(system) if canonical_keys else None
+        self._key_sets = system._cones if canonical_keys else (-1,) * system.n
 
     def term(self, masked: int, i: int) -> int:
         """Id of the subterm for equation i under the masked set ``masked``."""
         bit = 1 << i
         if masked & bit:
             return BOTTOM
-        key_set = masked if self._key_sets is None else masked & self._key_sets[i]
-        key = (i, key_set)
+        key = (i, masked & self._key_sets[i])
         tid = self._memo.get(key)
         if tid is None:
             inner = masked | bit
@@ -217,7 +198,7 @@ def build_expanded(system: System, k: int | None = None) -> TermDag:
         k = n
     if k < 0:
         raise ValueError("unrolling depth must be nonnegative")
-    dag = TermDag(system.supports())
+    dag = TermDag(system._supports)
     level = [BOTTOM] * n
     for _ in range(k):
         level = [
@@ -251,7 +232,7 @@ def _check_layout(dag: TermDag, system: System) -> None:
     """
     if dag.arity != system.n:
         raise ValueError("DAG arity does not match the system")
-    if dag.supports != tuple(system.supports()):
+    if dag.supports != system._supports:
         raise ValueError("DAG argument layout does not match the system's supports")
 
 

@@ -139,6 +139,8 @@ class CnfFormula:
     node_map: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.num_vars < 0:
+            raise ValueError(f"variable count {self.num_vars} is negative")
         for clause in self.clauses:
             if not clause:
                 raise ValueError("empty clause")

@@ -60,6 +60,7 @@ from .core import (
     ParamAssignment,
     System,
     Valuation,
+    _check_masked,
     _check_params,
     _iterates,
     _settle,
@@ -101,10 +102,7 @@ def _all_subsets(n: int) -> list[IndexSet]:
 def _subsets(system: System, subsets: Iterable[IndexSet] | None) -> list[IndexSet]:
     if subsets is not None:
         subs = list(subsets)
-        indices = frozenset(range(system.n))
-        for s in subs:
-            if not indices.issuperset(s):
-                raise ValueError(f"masked set {sorted(s)} has an index outside 0..{system.n - 1}")
+        _check_masked(system, subs)
         return subs
     if system.n > _MAX_EXHAUSTIVE_N:
         raise ValueError("exhaustive subset sweep is too large; pass a subset sample")
@@ -247,12 +245,6 @@ def _pinned_run(system: System, lanes: _Lanes, i: int) -> list[Valuation]:
     return _iterates(system, live, system.n + 1, lanes.pbits, lanes.every)
 
 
-def _block(table: list[Valuation], k: int, width: int) -> list[Valuation]:
-    """Block k of a lane table, as iterates of width-bit ints."""
-    shift, ones = k * width, (1 << width) - 1
-    return [tuple(v >> shift & ones for v in x) for x in table]
-
-
 def _first_flag(flags: list[int], width: int) -> tuple[int, int] | None:
     """(k, i): the first block k with a lane set in some flags[i], and the
     first such i; None when no lane is set anywhere."""
@@ -296,15 +288,15 @@ def _masking_preserves_iterates(system, pbits, ones, subsets):
     if found is None:
         return
     k, i = found
-    base, pinned = _block(base, k, width), _block(_pinned_run(system, lanes, i), k, width)
-    # keep -1: every lane of the block
-    m = next(m for m, dead in enumerate(_dead_after_change(base, pinned, i, -1)) if dead)
-    dead = ~base[m + 1][i]
+    pinned, shift = _pinned_run(system, lanes, i), k * width
+    keep = ((1 << width) - 1) << shift  # the lanes of block k
+    m = next(m for m, dead in enumerate(_dead_after_change(base, pinned, i, keep)) if dead)
+    dead = ~base[m + 1][i] & keep
     for p in range(m + 1):
         for j in range(n):
             bad = (base[p][j] ^ pinned[p][j]) & dead
             if bad:
-                yield bad, (
+                yield bad >> shift, (
                     f"masked={sorted(lanes.sets[k])} pinned={system.var_names[i]}: "
                     f"iterate {p} differs at {system.var_names[j]} (m={m})"
                 )

@@ -212,3 +212,9 @@ class TestDimacs:
             CnfFormula(1, ((2,),))
         with pytest.raises(ValueError):
             CnfFormula(1, ((),))
+
+    def test_negative_variable_count_rejected(self):
+        with pytest.raises(ValueError, match="variable count -1 is negative"):
+            CnfFormula(-1, ())
+        with pytest.raises(ValueError, match="variable count -2 is negative"):
+            parse_dimacs("p cnf -2 0\n")

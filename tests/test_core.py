@@ -295,6 +295,16 @@ class TestMaskedIteration:
         s = parse_system("x = 1; y = 1;")
         assert masked_iterates(s, frozenset(), 0)[0] == (0, 0)
 
+    @pytest.mark.parametrize("index", [99, 2, -1])
+    def test_index_outside_the_system_rejected(self, index):
+        # the suites refuse the same masked set with the same message
+        s = parse_system("x = y; y = 1;")
+        message = rf"masked set \[{index}\] has an index outside 0\.\.1"
+        with pytest.raises(ValueError, match=message):
+            masked_iterates(s, frozenset({index}), 3)
+        with pytest.raises(ValueError, match=message):
+            props.SUITES["masked_le_pruned"](s, None, [frozenset({index})])
+
 
 def definitional_fixpoint(s, start, p, ones):
     """Apply every equation in every round, from ``start`` in every slot,
@@ -389,11 +399,15 @@ class TestSupportCache:
     def test_cache_is_invisible(self):
         import dataclasses
 
-        caches = {"_supports", "_readers", "_programs"}
+        from bes.dag import build_pruned
+
+        caches = {"_supports", "_readers", "_programs", "_cones"}
         warm, cold = parse_system(self.TEXT), parse_system(self.TEXT)
         fields_before = dataclasses.fields(warm)
         assert warm.supports() == [(1,), (0, 2), ()]
         kleene_lfp(warm, (1,))
+        assert "_cones" not in vars(warm)  # iteration needs no cones
+        build_pruned(warm)
         assert caches <= vars(warm).keys() and not caches & vars(cold).keys()
         assert warm == cold and cold == warm
         assert hash(warm) == hash(cold)
@@ -404,6 +418,7 @@ class TestSupportCache:
         renamed = dataclasses.replace(warm, var_names=("u", "v", "w"))
         assert not caches & vars(renamed).keys()
         assert renamed._programs == warm._programs == cold._programs
+        assert renamed._cones == warm._cones == cold._cones == (0b111, 0b111, 0b100)
 
     def test_returned_list_is_a_copy(self):
         s = parse_system(self.TEXT)

@@ -226,6 +226,57 @@ def _same_terms(a, b):
     )
 
 
+def closure_cones(system):
+    """Oracle: Warshall's transitive closure of the support relation, as a
+    bitmask per variable with the variable itself included."""
+    n = system.n
+    reach = [[j in supp for j in range(n)] for supp in system.supports()]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return tuple(
+        (1 << i) | sum(1 << j for j in range(n) if reach[i][j]) for i in range(n)
+    )
+
+
+class TestCones:
+    def test_cones_equal_the_transitive_closure(self):
+        from test_emit import corpus
+
+        cycle = " ".join(f"c{i} = c{(i + 1) % 50};" for i in range(50))
+        shapes = [s for s, _ in corpus()] + [
+            parse_system(cycle),
+            gen_family(FamilySpec("chain", 40)),
+            *(gen_random_monotone(n, 1, 3, seed) for n in (8, 12, 20) for seed in range(5)),
+        ]
+        for s in shapes:
+            assert s._cones == closure_cones(s), s
+
+    def test_one_cone_table_per_system(self):
+        # every builder of one system reads the cones computed by the first
+        s = gen_random_monotone(5, 2, 3, 7)
+        build_pruned(s)
+        cones = vars(s)["_cones"]
+        assert SUITES["prune_le_iterate"](s) is None
+        assert SUITES["masked_le_pruned"](s) is None
+        assert vars(s)["_cones"] is cones
+        assert PrunedBuilder(s)._key_sets is cones
+
+    def test_reference_keys_keep_every_masked_bit(self):
+        # d's cone is {d}, so the canonical builder gives d one key under
+        # the masked sets {}, {c}, {b, c} and {a, b, c}; the reference, four
+        s = parse_system("a = b; b = c; c = a | d; d = 1;")
+        memo_sizes = []
+        for canonical in (True, False):
+            builder = PrunedBuilder(s, canonical_keys=canonical)
+            roots = [builder.term(0, i) for i in range(s.n)]
+            memo_sizes.append(len(builder._memo))
+            assert len(builder.dag) == 12 and len(set(roots)) == 4
+        assert memo_sizes == [10, 13]
+
+
 class TestStats:
     def test_bottom_only(self):
         s = parse_system("x = x; y = y;")
