@@ -186,8 +186,7 @@ def _cmd_verify(args) -> int:
             while len(drawn) < min(args.trials, 4096):
                 drawn[frozenset(i for i in range(system.n) if rng.random() < 0.5)] = None
             subsets = list(drawn)
-        for name, check in props.SUITES.items():
-            cex = check(system, None, subsets)
+        for name, cex in props.check_all(system, None, subsets).items():
             print(f"{name}: {'pass' if cex is None else 'FAIL'}")
             if cex is not None:
                 failures.append(cex)

@@ -122,8 +122,8 @@ class TermDag:
         roots = tuple(roots)  # a caller's list must not change the frozen DAG
         if len(roots) != self.arity:
             raise ValueError("need exactly one root per equation")
-        if not all(0 <= r < len(self._nodes) for r in roots):
-            raise ValueError("root refers to a node that does not exist")
+        if not all(isinstance(r, int) and 0 <= r < len(self._nodes) for r in roots):
+            raise ValueError(f"roots {roots!r} are not all ids of nodes in the table")
         self._roots = roots
         return self
 

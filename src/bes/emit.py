@@ -139,6 +139,8 @@ class CnfFormula:
     node_map: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if isinstance(self.num_vars, bool) or not isinstance(self.num_vars, int):
+            raise ValueError(f"variable count {self.num_vars!r} is not an int")
         if self.num_vars < 0:
             raise ValueError(f"variable count {self.num_vars} is negative")
         for clause in self.clauses:
@@ -167,8 +169,8 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
     two clauses.
     """
     qvar, qbit = query
-    if not 0 <= qvar < system.n:
-        raise ValueError("query variable out of range")
+    if not (isinstance(qvar, int) and 0 <= qvar < system.n):
+        raise ValueError(f"query variable {qvar!r} is not an int in range({system.n})")
     if qbit not in (0, 1):
         raise ValueError("query bit must be 0 or 1")
     _check_layout(dag, system)

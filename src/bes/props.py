@@ -1,8 +1,9 @@
 """Executable property suites behind the ``verify`` command.
 
-Each suite is called as ``SUITES[name](system, params=None, subsets=None)``.
-It returns None on success, or a Counterexample for its first failing
-comparison: the system, a parameter assignment, and the coordinate.  Given
+``check_all(system, params=None, subsets=None, names=None)`` runs the named
+suites, all by default, and maps each to None on success, or to a
+Counterexample for its first failing comparison: the system, a parameter
+assignment, and the coordinate.  ``SUITES[name]`` runs it on one name.  Given
 an explicit assignment it checks that one; with ``params=None`` it sweeps
 every assignment at once using packed bitmasks (one bit per assignment), so
 a single pass covers all 2**P parameter choices, and it reports the lowest
@@ -28,7 +29,14 @@ n + 1 blocks in the same way and settles them in one loop: block 0 is the
 system, and in block i + 1 equation i reads its own variable as 0.  It
 reports the first block that differs from block 0, at its first differing
 coordinate, without rewriting a formula or building a system.
-``prune_le_iterate`` and ``zero_prefix`` need only the plain iterates.
+
+The suites of one call share a pass that computes each part they compare at
+most once, on first read, for that call only: the plain iterates
+(``prune_le_iterate``, ``zero_prefix``), the lanes (the two lane suites), the
+pruned term values of every masked set (those and ``prune_le_iterate``) and
+the pruned and expanded values (``equality``, ``pruned_le_expanded``, and the
+pruned ones for ``memo_keys``).  Sharing merges no cross-check: each suite
+recomputed these with the same code before.
 
 The suites:
 
@@ -51,7 +59,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, partial, reduce
 from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -127,11 +135,41 @@ def _pruned_term_values(
     return [[values[tid] for tid in row] for row in tids]
 
 
-def _equality(system, pbits, ones, subsets):
+class _Pass:
+    """The parts suites share, each computed on first read, for one ``check_all`` call."""
+
+    def __init__(self, system, pbits, ones, subsets):
+        self.system, self.pbits, self.ones, self.subsets = system, pbits, ones, subsets
+
+    @cached_property
+    def sets(self) -> list[IndexSet]:
+        return _subsets(self.system, self.subsets)
+
+    @cached_property
+    def plain(self) -> list[Valuation]:
+        return masked_iterates(self.system, frozenset(), self.system.n + 1, self.pbits, self.ones)
+
+    @cached_property
+    def lanes(self) -> _Lanes:
+        return _lanes(self.system, self.pbits, self.ones, self.sets)
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        return _pruned_term_values(self.system, self.pbits, self.ones, self.sets)
+
+    @cached_property
+    def pruned(self) -> list[int]:
+        return eval_dag(build_pruned(self.system), self.system, self.pbits, self.ones)
+
+    @cached_property
+    def expanded(self) -> list[int]:
+        return eval_dag(build_expanded(self.system), self.system, self.pbits, self.ones)
+
+
+def _equality(run):
     """Both closed forms evaluate to the iterated least fixpoint, bit for bit."""
-    iterated, _ = kleene_lfp(system, pbits, ones)
-    pruned = eval_dag(build_pruned(system), system, pbits, ones)
-    expanded = eval_dag(build_expanded(system), system, pbits, ones)
+    system, pruned, expanded = run.system, run.pruned, run.expanded
+    iterated, _ = kleene_lfp(system, run.pbits, run.ones)
     for i in range(system.n):
         bad = (iterated[i] ^ pruned[i]) | (iterated[i] ^ expanded[i])
         if bad:
@@ -141,27 +179,25 @@ def _equality(system, pbits, ones, subsets):
             )
 
 
-def _pruned_le_expanded(system, pbits, ones, subsets):
+def _pruned_le_expanded(run):
     """The pruned value never exceeds the expanded value, coordinatewise."""
-    pruned = eval_dag(build_pruned(system), system, pbits, ones)
-    expanded = eval_dag(build_expanded(system), system, pbits, ones)
+    system, pruned, expanded = run.system, run.pruned, run.expanded
     for i in range(system.n):
-        bad = pruned[i] & ~expanded[i] & ones
+        bad = pruned[i] & ~expanded[i] & run.ones
         if bad:
             yield bad, f"coordinate {system.var_names[i]}: pruned=1 but expanded=0"
 
 
-def _prune_le_iterate(system, pbits, ones, subsets):
+def _prune_le_iterate(run):
     """Masked pruned terms are bounded by the equation at a late plain iterate.
 
     For every proper masked set S and equation i, the pruned subterm for
     (S, i) is at most f_i applied to the (n - |S| - 1)-th plain iterate.
     """
-    n = system.n
-    subs = [s for s in _subsets(system, subsets) if len(s) < n]
-    values = _pruned_term_values(system, pbits, ones, subs)
-    plain = masked_iterates(system, frozenset(), n + 1, pbits, ones)
-    for masked, row in zip(subs, values):
+    system, n, rows, plain, ones = run.system, run.system.n, run.rows, run.plain, run.ones
+    for masked, row in zip(run.sets, rows):
+        if len(masked) == n:
+            continue  # not proper: there is no iterate -1 to bound it by
         m = n - len(masked) - 1
         for i in range(n):
             bad = row[i] & ~plain[m + 1][i] & ones
@@ -172,10 +208,9 @@ def _prune_le_iterate(system, pbits, ones, subsets):
                 )
 
 
-def _zero_prefix(system, pbits, ones, subsets):
+def _zero_prefix(run):
     """If an equation is 0 at iterate m, it is 0 at every iterate up to m."""
-    n = system.n
-    plain = masked_iterates(system, frozenset(), n + 1, pbits, ones)
+    system, n, plain, ones = run.system, run.system.n, run.plain, run.ones
     for i in range(n):
         for m in range(n + 1):
             zero_at_m = ~plain[m + 1][i] & ones
@@ -224,11 +259,8 @@ def _blocks(values: Sequence[int], width: int) -> int:
     return out
 
 
-def _lanes(
-    system: System, pbits: Sequence[int], ones: int, subsets: Iterable[IndexSet] | None
-) -> _Lanes:
-    """Lay the given masked sets out in lanes and iterate them all at once."""
-    sets = _subsets(system, subsets)
+def _lanes(system: System, pbits: Sequence[int], ones: int, sets: list[IndexSet]) -> _Lanes:
+    """Lay the given checked masked sets out in lanes and iterate them all at once."""
     width = ones.bit_length()
     without = [_blocks([0 if i in s else ones for s in sets], width) for i in range(system.n)]
     repeated = tuple(_blocks([bits] * len(sets), width) for bits in pbits)
@@ -269,7 +301,7 @@ def _dead_after_change(
         yield diff & ~base[m + 1][i] & keep
 
 
-def _masking_preserves_iterates(system, pbits, ones, subsets):
+def _masking_preserves_iterates(run):
     """Pinning a dead equation to 0 leaves earlier masked iterates unchanged.
 
     If f_i evaluates to 0 at the m-th iterate masked by S, then masking
@@ -277,8 +309,7 @@ def _masking_preserves_iterates(system, pbits, ones, subsets):
     iteration and the one with i pinned are compared block for block, in the
     blocks whose set lacks i, and the first violation is decoded in its block.
     """
-    n = system.n
-    lanes = _lanes(system, pbits, ones, subsets)
+    system, n, lanes = run.system, run.system.n, run.lanes
     base, width = lanes.table, lanes.width
     flags = [
         reduce(or_, _dead_after_change(base, _pinned_run(system, lanes, i), i, lanes.without[i]))
@@ -303,7 +334,7 @@ def _masking_preserves_iterates(system, pbits, ones, subsets):
                 return
 
 
-def _masked_le_pruned(system, pbits, ones, subsets):
+def _masked_le_pruned(run):
     """An equation applied to a masked iterate never exceeds its pruned term.
 
     For every masked set S, equation i outside S, and 0 <= m <= n - |S|,
@@ -311,10 +342,8 @@ def _masked_le_pruned(system, pbits, ones, subsets):
     pruned values go into the lanes of their set's block, and iterate m + 1
     is compared in the blocks of the sets with at most n - m members.
     """
-    n = system.n
-    lanes = _lanes(system, pbits, ones, subsets)
+    system, n, ones, lanes, values = run.system, run.system.n, run.ones, run.lanes, run.rows
     table, width = lanes.table, lanes.width
-    values = _pruned_term_values(system, pbits, ones, lanes.sets)
     sizes = [len(s) for s in lanes.sets]
     at_most = [_blocks([ones if size <= c else 0 for size in sizes], width) for c in range(n + 1)]
 
@@ -348,14 +377,15 @@ def _self_substituted(system: System, pbits: Sequence[int], ones: int) -> Valuat
     return fixpoint
 
 
-def _self_substitution(system, pbits, ones, subsets):
+def _self_substitution(run):
     """Replacing x_i by 0 inside its own equation preserves the least fixpoint.
 
     Block i + 1 of the lane fixpoint is compared with block 0, and the first
     differing block is reported at its first differing coordinate.
     """
+    system, ones = run.system, run.ones
     n, width = system.n, ones.bit_length()
-    fixpoint = _self_substituted(system, pbits, ones)
+    fixpoint = _self_substituted(system, run.pbits, ones)
     flags = [v ^ _blocks([v & ones] * (n + 1), width) for v in fixpoint]
     found = _first_flag(flags, width)
     if found is None:
@@ -367,48 +397,19 @@ def _self_substitution(system, pbits, ones, subsets):
     )
 
 
-def _memo_keys(system, pbits, ones, subsets):
+def _memo_keys(run):
     """Restricted-key and full-key pruned builders evaluate identically."""
-    canonical = eval_dag(build_pruned(system), system, pbits, ones)
-    reference = eval_dag(build_pruned_reference(system), system, pbits, ones)
+    system, canonical = run.system, run.pruned
+    reference = eval_dag(build_pruned_reference(system), system, run.pbits, run.ones)
     for i in range(system.n):
-        bad = (canonical[i] ^ reference[i]) & ones
+        bad = (canonical[i] ^ reference[i]) & run.ones
         if bad:
             yield bad, f"builders disagree at {system.var_names[i]}"
 
 
-Check = Callable[..., Counterexample | None]
-
-
-def _suite(name: str, violations: Callable[..., Iterator[tuple[int, str]]]) -> Check:
-    """The check that reports the first of ``violations`` as a Counterexample.
-
-    ``violations(system, pbits, ones, subsets)`` yields ``(bad, detail)`` for
-    each failing comparison, ``bad`` holding one bit per failing parameter
-    slice; the lowest slice is decoded when every assignment is swept.
-    """
-
-    def check(
-        system: System,
-        params: ParamAssignment | None = None,
-        subsets: Iterable[IndexSet] | None = None,
-    ) -> Counterexample | None:
-        if params is None:
-            pbits, ones = param_masks(system.num_params)
-        else:
-            _check_params(system, params, 1)
-            pbits, ones = params, 1
-        for bad, detail in violations(system, pbits, ones, subsets):
-            if params is None:
-                params = decode_param_slice(system.num_params, (bad & -bad).bit_length() - 1)
-            return Counterexample(name, system, params, detail)
-        return None
-
-    return check
-
-
-SUITES: dict[str, Check] = {
-    v.__name__[1:]: _suite(v.__name__[1:], v)
+# Each yields (bad, detail) per failing comparison, bad holding the failing slices.
+_VIOLATIONS: dict[str, Callable[[_Pass], Iterator[tuple[int, str]]]] = {
+    v.__name__[1:]: v
     for v in (
         _equality,
         _pruned_le_expanded,
@@ -419,6 +420,40 @@ SUITES: dict[str, Check] = {
         _self_substitution,
         _memo_keys,
     )
+}
+
+
+def check_all(
+    system: System,
+    params: ParamAssignment | None = None,
+    subsets: Iterable[IndexSet] | None = None,
+    names: Iterable[str] | None = None,
+) -> dict[str, Counterexample | None]:
+    """Each named suite's first failure on one pass over the system, or None;
+    the lowest failing slice is decoded when every assignment is swept."""
+    if params is None:
+        pbits, ones = param_masks(system.num_params)
+    else:
+        _check_params(system, params, 1)
+        pbits, ones = params, 1
+    run = _Pass(system, pbits, ones, subsets)
+    reports = dict.fromkeys(_VIOLATIONS if names is None else names)
+    for name in reports:
+        for bad, detail in _VIOLATIONS[name](run):
+            found = params
+            if found is None:
+                found = decode_param_slice(system.num_params, (bad & -bad).bit_length() - 1)
+            reports[name] = Counterexample(name, system, found, detail)
+            break
+    return reports
+
+
+def _check_one(name, system, params=None, subsets=None) -> Counterexample | None:
+    return check_all(system, params, subsets, (name,))[name]
+
+
+SUITES: dict[str, Callable[..., Counterexample | None]] = {
+    name: partial(_check_one, name) for name in _VIOLATIONS
 }
 
 
@@ -450,7 +485,7 @@ def run_random_battery(trials: int, seed: int, max_n: int = 6) -> list[SuiteTall
         n = rng.randint(1, max_n)
         num_params = rng.randint(0, _RANDOM_MAX_PARAMS)
         system = gen_random_monotone(n, num_params, _RANDOM_MAX_DEPTH, rng.randrange(2**62))
-        subs = _all_subsets(n)
-        for tally, check in zip(tallies, SUITES.values()):
-            tally.record(check(system, None, subs))
+        reports = check_all(system, None, _all_subsets(n))
+        for tally in tallies:
+            tally.record(reports[tally.name])
     return tallies

@@ -201,8 +201,7 @@ def test_criterion_5_supporting_properties():
     for n in (1, 2, 3):
         subsets = props._all_subsets(n)
         for system in exhaustive_systems(n):
-            for name in SUPPORTING_SUITES:
-                cex = props.SUITES[name](system, None, subsets)
+            for name, cex in props.check_all(system, None, subsets, SUPPORTING_SUITES).items():
                 if cex is not None:
                     path = dump_counterexample(cex)
                     report(5, "supporting properties", False, f"{name} failed, see {path}")

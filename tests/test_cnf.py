@@ -71,6 +71,9 @@ class TestToCnf:
             to_cnf(dag, s, (5, 1))
         with pytest.raises(ValueError):
             to_cnf(dag, s, (0, 2))
+        for qvar in (0.0, "0", None):
+            with pytest.raises(ValueError, match="query variable"):
+                to_cnf(dag, s, (qvar, 1))
 
     def test_node_map_names_params_and_terms(self):
         s = parse_system("x = ?p & x;")
@@ -218,3 +221,9 @@ class TestDimacs:
             CnfFormula(-1, ())
         with pytest.raises(ValueError, match="variable count -2 is negative"):
             parse_dimacs("p cnf -2 0\n")
+
+    def test_variable_count_other_than_an_int_rejected(self):
+        # write_dimacs would print "p cnf 2.5 2", which parse_dimacs refuses
+        for count in (2.5, True, "2", None):
+            with pytest.raises(ValueError, match="variable count .* is not an int"):
+                CnfFormula(count, ((1,), (-2,)))

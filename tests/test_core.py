@@ -613,7 +613,7 @@ DEFINED = {
         "build_pruned", "build_pruned_reference", "dag_stats", "eval_dag",
         "node_values", "with_top_leaves",
     },
-    "props": {"Counterexample", "SuiteTally", "run_random_battery"},
+    "props": {"Counterexample", "SuiteTally", "check_all", "run_random_battery"},
 }
 
 

@@ -461,7 +461,8 @@ class TestFrozenDiscipline:
 
         dag = TermDag([(0,), (0, 1)])
         tid = dag.apply(0, (BOTTOM,))
-        for roots in ((), (tid,), (tid, tid, tid), (tid, tid + 1), (-1, tid)):
+        bad = ((), (tid,), (tid, tid, tid), (tid, tid + 1), (-1, tid), (1.0, tid), ("a", tid))
+        for roots in bad:
             with pytest.raises(ValueError):
                 dag.freeze(roots)
         assert dag.freeze((tid, BOTTOM)) is dag

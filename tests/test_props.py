@@ -222,13 +222,18 @@ def test_each_suite_reports_its_first_failure(
 ):
     system = parse_system("x = ?p | ?q; y = x & ?q;")
     assert props.SUITES[suite](system, params) is None
+    _inject_row(monkeypatch, name, fake)
+    assert props.SUITES[suite](system, params) == props.Counterexample(
+        suite, system, reported, detail
+    )
+
+
+def _inject_row(monkeypatch, name, fake):
+    # the fault of a FAULT_TABLE or ITERATION_FAULT_TABLE row
     if name == "masked_iterates":
         _inject_iteration_fault(monkeypatch, fake)
     else:
         monkeypatch.setattr(props, name, fake)
-    assert props.SUITES[suite](system, params) == props.Counterexample(
-        suite, system, reported, detail
-    )
 
 
 def _lag_one_round(out, lanes, live):
@@ -514,6 +519,96 @@ def test_lane_fault_is_caught(monkeypatch, suite, fault, shared):
             if _suite_reports(suite, CASES) != expected:
                 return
     pytest.fail(f"{fault} in the {suite} lanes went unnoticed")
+
+
+# Every fault of FAULT_TABLE, ITERATION_FAULT_TABLE and SHARED_FAULTS once, by
+# id: a row's first suite and name, or the shared fault's name.  A
+# "masked_iterates" row injects its fake as the "_iterates" shared faults do,
+# so a shared fault whose fake a row has already is left out.
+ROW_FAULTS = {
+    (name, fake): f"{suite}-{name}"
+    for suite, name, fake, *_ in reversed(FAULT_TABLE + ITERATION_FAULT_TABLE)
+}
+EVERY_FAULT = {fault_id: ("row", name, fake) for (name, fake), fault_id in ROW_FAULTS.items()}
+EVERY_FAULT.update(
+    (fault, ("shared", fault))
+    for fault, (_, fake) in SHARED_FAULTS.items()
+    if all(fake is not row_fake for _, row_fake in ROW_FAULTS)
+)
+# The parts one pass shares between suites, by the name ``props`` calls.
+SHARED_PARTS = ["build_pruned", "build_expanded", "masked_iterates", "_lanes", "_pruned_term_values"]
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each named callable of ``props`` in a counter; returns the counts."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(props, name, counted(name, getattr(props, name)))
+    return counts
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("fault", [None, *EVERY_FAULT], ids=["clean", *EVERY_FAULT])
+    def test_check_all_reports_what_each_suite_reports(self, monkeypatch, fault):
+        if fault is not None:
+            kind, *spec = EVERY_FAULT[fault]
+            (_inject_row if kind == "row" else _inject)(monkeypatch, *spec)
+        failed = False
+        for case in CASES:
+            together = props.check_all(*case)
+            assert together == {name: check(*case) for name, check in props.SUITES.items()}
+            assert list(together) == list(props.SUITES)
+            failed = failed or any(together.values())
+        assert failed == (fault is not None)
+
+    def test_each_shared_part_is_computed_once(self, monkeypatch):
+        counts = _count_calls(monkeypatch, SHARED_PARTS)
+        for case in CASES[:30] + WIDE_CASES[:1] + SHUFFLED_CASES[:1]:
+            counts.update(dict.fromkeys(counts, 0))
+            assert not any(props.check_all(*case).values())
+            assert counts == dict.fromkeys(SHARED_PARTS, 1)
+
+    def test_a_suite_alone_computes_only_what_it_reads(self, monkeypatch):
+        counts = _count_calls(monkeypatch, SHARED_PARTS + ["build_pruned_reference"])
+        system = parse_system("x = ?p & y; y = x | ?q;")
+        assert props.SUITES["zero_prefix"](system) is None
+        assert [name for name, count in counts.items() if count] == ["masked_iterates"]
+        counts.update(dict.fromkeys(counts, 0))
+        assert props.SUITES["equality"](system) is None
+        assert [name for name, count in counts.items() if count] == [
+            "build_pruned", "build_expanded"
+        ]
+
+    def test_only_the_suites_that_read_masked_sets_need_them(self):
+        # a system too wide to sweep every masked set passes the other suites
+        wide = gen_random_monotone(15, 0, 2, 3)
+        names = ["equality", "pruned_le_expanded", "zero_prefix", "self_substitution", "memo_keys"]
+        assert props.check_all(wide, None, None, names) == dict.fromkeys(names)
+        for name in set(props.SUITES) - set(names):
+            with pytest.raises(ValueError, match="exhaustive subset sweep is too large"):
+                props.SUITES[name](wide)
+
+    def test_prune_le_iterate_skips_the_full_set(self, monkeypatch):
+        # the shared rows hold the full set too; it has no iterate -1 to be
+        # bounded by, so even a pruned term read as all ones passes there
+        system = parse_system("x = ?p | ?q; y = x & ?q;")
+        monkeypatch.setattr(props, "node_values", _all_ones)
+        assert props.SUITES["prune_le_iterate"](system, None, [frozenset({0, 1})]) is None
+        assert props.SUITES["prune_le_iterate"](system, None, [frozenset({0})]) is not None
+
+    def test_names_pick_the_suites_in_the_order_given(self):
+        system = parse_system("x = ?p & y; y = x | ?q;")
+        names = ("memo_keys", "zero_prefix")
+        reports = props.check_all(system, (1, 0), None, names)
+        assert list(reports.items()) == [(name, None) for name in names]
 
 
 class TestIterateTable:
