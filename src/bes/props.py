@@ -107,32 +107,9 @@ def _all_subsets(n: int) -> list[IndexSet]:
     return [frozenset(i for i in range(n) if (m >> i) & 1) for m in range(1 << n)]
 
 
-def _subsets(system: System, subsets: Iterable[IndexSet] | None) -> list[IndexSet]:
-    if subsets is not None:
-        subs = list(subsets)
-        _check_masked(system, subs)
-        return subs
-    if system.n > _MAX_EXHAUSTIVE_N:
-        raise ValueError("exhaustive subset sweep is too large; pass a subset sample")
-    return _all_subsets(system.n)
-
-
 def _mask(masked: IndexSet) -> int:
     """A masked set as a bitmask, bit i standing for equation i."""
     return sum(1 << i for i in masked)
-
-
-def _pruned_term_values(
-    system: System, pbits: Sequence[int], ones: int, subs: list[IndexSet]
-) -> list[list[int]]:
-    """Value of the pruned (S, i) subterm for every given masked set S and
-    every equation i, in one shared DAG; row k belongs to subs[k]."""
-    builder = PrunedBuilder(system)
-    term = builder.term
-    equations = range(system.n)
-    tids = [[term(mask, i) for i in equations] for mask in map(_mask, subs)]
-    values = node_values(builder.dag, system, pbits, ones)
-    return [[values[tid] for tid in row] for row in tids]
 
 
 class _Pass:
@@ -143,7 +120,13 @@ class _Pass:
 
     @cached_property
     def sets(self) -> list[IndexSet]:
-        return _subsets(self.system, self.subsets)
+        if self.subsets is not None:
+            subs = list(self.subsets)
+            _check_masked(self.system, subs)
+            return subs
+        if self.system.n > _MAX_EXHAUSTIVE_N:
+            raise ValueError("exhaustive subset sweep is too large; pass a subset sample")
+        return _all_subsets(self.system.n)
 
     @cached_property
     def plain(self) -> list[Valuation]:
@@ -155,7 +138,14 @@ class _Pass:
 
     @cached_property
     def rows(self) -> list[list[int]]:
-        return _pruned_term_values(self.system, self.pbits, self.ones, self.sets)
+        """Value of the pruned (S, i) subterm for every masked set S and
+        every equation i, in one shared DAG; row k belongs to sets[k]."""
+        builder = PrunedBuilder(self.system)
+        term = builder.term
+        equations = range(self.system.n)
+        tids = [[term(mask, i) for i in equations] for mask in map(_mask, self.sets)]
+        values = node_values(builder.dag, self.system, self.pbits, self.ones)
+        return [[values[tid] for tid in row] for row in tids]
 
     @cached_property
     def pruned(self) -> list[int]:
@@ -235,7 +225,6 @@ class _Lanes(NamedTuple):
     iteration.
     """
 
-    sets: list[IndexSet]
     width: int
     every: int
     pbits: tuple[int, ...]
@@ -266,7 +255,7 @@ def _lanes(system: System, pbits: Sequence[int], ones: int, sets: list[IndexSet]
     repeated = tuple(_blocks([bits] * len(sets), width) for bits in pbits)
     every = (1 << len(sets) * width) - 1
     table = _iterates(system, without, system.n + 1, repeated, every)
-    return _Lanes(sets, width, every, repeated, without, table)
+    return _Lanes(width, every, repeated, without, table)
 
 
 def _pinned_run(system: System, lanes: _Lanes, i: int) -> list[Valuation]:
@@ -328,7 +317,7 @@ def _masking_preserves_iterates(run):
             bad = (base[p][j] ^ pinned[p][j]) & dead
             if bad:
                 yield bad >> shift, (
-                    f"masked={sorted(lanes.sets[k])} pinned={system.var_names[i]}: "
+                    f"masked={sorted(run.sets[k])} pinned={system.var_names[i]}: "
                     f"iterate {p} differs at {system.var_names[j]} (m={m})"
                 )
                 return
@@ -344,7 +333,7 @@ def _masked_le_pruned(run):
     """
     system, n, ones, lanes, values = run.system, run.system.n, run.ones, run.lanes, run.rows
     table, width = lanes.table, lanes.width
-    sizes = [len(s) for s in lanes.sets]
+    sizes = [len(s) for s in run.sets]
     at_most = [_blocks([ones if size <= c else 0 for size in sizes], width) for c in range(n + 1)]
 
     def exceeding(i: int) -> list[int]:
@@ -361,7 +350,7 @@ def _masked_le_pruned(run):
         bad = lanes_at_m >> shift & block
         if bad:
             yield bad, (
-                f"masked={sorted(lanes.sets[k])} equation={system.var_names[i]} m={m}: "
+                f"masked={sorted(run.sets[k])} equation={system.var_names[i]} m={m}: "
                 f"masked application exceeds the pruned term"
             )
             return

@@ -5,8 +5,9 @@ Used by the tests as a differential oracle for the lane suites in
 time with ``masked_iterates``, and ``self_substitution`` solves one
 rewritten system per equation.  Each yields ``(bad, detail)`` for every
 failing comparison, in the order the suites report them, ``bad`` holding
-one bit per failing parameter slice.  The arguments are those of a suite's
-violations, ``(system, pbits, ones, subsets)``.
+one bit per failing parameter slice.  The arguments are those a suite's
+pass is made of, ``(system, pbits, ones, subsets)``, and the masked sets and
+pruned term values come from that pass.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from bes.core import (
     kleene_lfp,
     masked_iterates,
 )
-from bes.props import _pruned_term_values, _subsets
+from bes.props import _Pass
 
 
 def substitute_var(f: Formula, index: int, replacement: Formula) -> Formula:
@@ -63,7 +64,7 @@ def masking_preserves_iterates(system, pbits, ones, subsets):
             iterates[masked] = got
         return got
 
-    for masked in _subsets(system, subsets):
+    for masked in _Pass(system, pbits, ones, subsets).sets:
         base = iters(masked)
         for i in range(n):
             if i in masked:
@@ -90,9 +91,8 @@ def masked_le_pruned(system, pbits, ones, subsets):
     """For every masked set S, equation i outside S, and 0 <= m <= n - |S|,
     f_i at the m-th S-masked iterate is at most the pruned (S, i) term."""
     n = system.n
-    subs = _subsets(system, subsets)
-    values = _pruned_term_values(system, pbits, ones, subs)
-    for masked, row in zip(subs, values):
+    run = _Pass(system, pbits, ones, subsets)
+    for masked, row in zip(run.sets, run.rows):
         upto = n - len(masked)
         masked_iter = masked_iterates(system, masked, upto + 1, pbits, ones)
         for i in range(n):

@@ -389,7 +389,7 @@ class TestLanes:
         sets = [frozenset({2}), frozenset({0, 1}), frozenset(), frozenset({2}), frozenset({0})]
         lanes = props._lanes(system, pbits, ones, sets)
         width = ones.bit_length()
-        assert lanes.width == width and lanes.sets == sets
+        assert lanes.width == width
         assert lanes.every == (1 << len(sets) * width) - 1
 
         def block(table, k):
@@ -535,8 +535,9 @@ EVERY_FAULT.update(
     for fault, (_, fake) in SHARED_FAULTS.items()
     if all(fake is not row_fake for _, row_fake in ROW_FAULTS)
 )
-# The parts one pass shares between suites, by the name ``props`` calls.
-SHARED_PARTS = ["build_pruned", "build_expanded", "masked_iterates", "_lanes", "_pruned_term_values"]
+# What computes each part one pass shares between suites, by its name in
+# ``props``: PrunedBuilder builds the pruned term rows.
+SHARED_PARTS = ["build_pruned", "build_expanded", "masked_iterates", "_lanes", "PrunedBuilder"]
 
 
 def _count_calls(monkeypatch, names):
