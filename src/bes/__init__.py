@@ -11,7 +11,6 @@ from .core import (
     Const,
     Formula,
     IndexSet,
-    NonMonotoneError,
     Or,
     Param,
     ParamAssignment,
@@ -62,7 +61,6 @@ __all__ = [
     "FamilySpec",
     "Formula",
     "IndexSet",
-    "NonMonotoneError",
     "Or",
     "Param",
     "ParamAssignment",

@@ -65,22 +65,20 @@ class Or:
 Formula = Const | Var | Param | And | Or
 
 
-class NonMonotoneError(RuntimeError):
-    """Fixpoint iteration failed to converge within the lattice height."""
+def _leaves(f: Formula) -> Iterator[Formula]:
+    """The nodes of f that are not exactly an And or an Or, left to right, by an explicit stack."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is And or type(node) is Or:
+            stack += node.right, node.left
+        else:
+            yield node
 
 
 def support(f: Formula) -> IndexSet:
     """The set of state variables occurring syntactically in f."""
-    out: set[int] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.index)
-        elif isinstance(node, (And, Or)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return frozenset(out)
+    return frozenset(node.index for node in _leaves(f) if type(node) is Var)
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,9 @@ class System:
     """An ordered tuple of monotone equations plus declared names.
 
     ``formulas[i]`` is the right-hand side defining ``var_names[i]``.
-    Validation happens at construction; a System that exists is well formed.
+    Validation happens at construction; a System that exists is well formed:
+    every node is exactly a Const, Var, Param, And or Or, every constant the
+    int 0 or 1, every index an int in range and every polarity a bool.
     """
 
     formulas: tuple[Formula, ...]
@@ -109,20 +109,22 @@ class System:
                 raise ValueError(f"invalid identifier: {name!r}")
         num_params = len(self.param_names)
         for i, f in enumerate(self.formulas):
-            stack = [f]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, (And, Or)):
-                    stack.append(node.left)
-                    stack.append(node.right)
-                elif isinstance(node, Var) and not 0 <= node.index < n:
-                    raise ValueError(f"equation {i} uses variable index {node.index} out of range")
-                elif isinstance(node, Param) and not 0 <= node.index < num_params:
-                    raise ValueError(f"equation {i} uses parameter index {node.index} out of range")
-                elif isinstance(node, Const) and node.value not in (0, 1):
-                    raise ValueError(f"equation {i} uses constant {node.value!r}, not 0 or 1")
-                elif not isinstance(node, (Const, Var, Param)):
+            for node in _leaves(f):
+                kind = type(node)
+                if kind is Const:
+                    ok = type(node.value) is int and node.value in (0, 1)
+                elif kind is Var:
+                    ok = type(node.index) is int and 0 <= node.index < n
+                elif kind is Param:
+                    ok = type(node.index) is int and 0 <= node.index < num_params
+                    ok = ok and type(node.negated) is bool
+                else:
                     raise ValueError(f"equation {i} contains {node!r}, not a formula node")
+                if not ok:
+                    raise ValueError(
+                        f"equation {i} uses {node!r}: a constant must be the int 0 or 1, "
+                        "an index an int in range and a polarity a bool"
+                    )
 
     @property
     def n(self) -> int:
@@ -308,7 +310,8 @@ def _settle(
 
     Depth counts the rounds that changed something.  From a bottom or top
     start a monotone system settles within n of them, so one more raises
-    NonMonotoneError.  ``own`` is passed on to ``_changing_rounds``; reading
+    RuntimeError: only a faulty evaluator gets there, since every System is
+    monotone by construction.  ``own`` is passed on to ``_changing_rounds``; reading
     x_i as 0 inside f_i leaves every f_i monotone, so the bound still holds.
     """
     _check_params(system, p, ones)
@@ -316,7 +319,7 @@ def _settle(
     for _ in _changing_rounds(system, x, [ones] * system.n, p, ones, own):
         depth += 1
         if depth > system.n:
-            raise NonMonotoneError("iteration exceeded the lattice height; system is not monotone")
+            raise RuntimeError("iteration exceeded the lattice height; system is not monotone")
     return tuple(x), depth
 
 
@@ -327,8 +330,7 @@ def kleene_lfp(
 
     Returns (fixpoint, depth) where depth is the least number of
     applications after which the iterate stops changing.  The depth is at
-    most n; exceeding that bound means an equation is not monotone and
-    raises NonMonotoneError.
+    most n.
 
     Each application after the first re-evaluates only the equations with a
     variable in their support that the one before changed.  The others would
@@ -363,8 +365,8 @@ def masked_iterates(
     in their support that the round before changed; once a round changes
     nothing, the rest of the iterates repeat the last one.
     """
-    if m < 0:
-        raise ValueError("iteration count must be nonnegative")
+    if type(m) is not int or m < 0:
+        raise ValueError(f"iteration count must be a nonnegative int, got {m!r}")
     _check_params(system, p, ones)
     _check_masked(system, (masked,))
     return _iterates(system, [0 if i in masked else ones for i in range(system.n)], m, p, ones)

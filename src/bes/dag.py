@@ -196,8 +196,8 @@ def build_expanded(system: System, k: int | None = None) -> TermDag:
     n = system.n
     if k is None:
         k = n
-    if k < 0:
-        raise ValueError("unrolling depth must be nonnegative")
+    if type(k) is not int or k < 0:
+        raise ValueError(f"unrolling depth must be a nonnegative int, got {k!r}")
     dag = TermDag(system._supports)
     level = [BOTTOM] * n
     for _ in range(k):

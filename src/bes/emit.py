@@ -256,9 +256,13 @@ def parse_dimacs(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"malformed problem line: {line!r}")
+            if num_vars is not None:
+                raise ValueError(f"second problem line: {line!r}")
             num_vars = int(parts[2])
             num_clauses = int(parts[3])
             continue
+        if num_vars is None:
+            raise ValueError(f"clause line before the problem line: {line!r}")
         literals.extend(int(tok) for tok in line.split())
     if num_vars is None or num_clauses is None:
         raise ValueError("missing problem line")

@@ -59,8 +59,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
-from operator import or_
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
@@ -266,15 +265,20 @@ def _pinned_run(system: System, lanes: _Lanes, i: int) -> list[Valuation]:
     return _iterates(system, live, system.n + 1, lanes.pbits, lanes.every)
 
 
-def _first_flag(flags: list[int], width: int) -> tuple[int, int] | None:
-    """(k, i): the first block k with a lane set in some flags[i], and the
-    first such i; None when no lane is set anywhere."""
-    lowest = [(f & -f).bit_length() - 1 for f in flags if f]
+def _first_failure(rows: list[list[int]], width: int) -> tuple[int, int, int, int] | None:
+    """(k, i, c, lanes) for the failing lanes rows[i][c] of comparison c of
+    equation i: the first block k with a failing lane, the first i and then c
+    failing in it, and their failing lanes of block k shifted down to block 0;
+    None when no lane fails anywhere."""
+    lowest = min(((f & -f).bit_length() for row in rows for f in row if f), default=0)
     if not lowest:
         return None
-    k = min(lowest) // width
-    ones = (1 << width) - 1
-    return k, next(i for i, f in enumerate(flags) if f >> k * width & ones)
+    k, block = (lowest - 1) // width, (1 << width) - 1
+    for i, row in enumerate(rows):
+        for c, f in enumerate(row):
+            lanes = f >> k * width & block
+            if lanes:
+                return k, i, c, lanes
 
 
 def _dead_after_change(
@@ -300,23 +304,20 @@ def _masking_preserves_iterates(run):
     """
     system, n, lanes = run.system, run.system.n, run.lanes
     base, width = lanes.table, lanes.width
-    flags = [
-        reduce(or_, _dead_after_change(base, _pinned_run(system, lanes, i), i, lanes.without[i]))
+    rows = [
+        list(_dead_after_change(base, _pinned_run(system, lanes, i), i, lanes.without[i]))
         for i in range(n)
     ]
-    found = _first_flag(flags, width)
+    found = _first_failure(rows, width)
     if found is None:
         return
-    k, i = found
-    pinned, shift = _pinned_run(system, lanes, i), k * width
-    keep = ((1 << width) - 1) << shift  # the lanes of block k
-    m = next(m for m, dead in enumerate(_dead_after_change(base, pinned, i, keep)) if dead)
-    dead = ~base[m + 1][i] & keep
+    k, i, m, dead = found
+    pinned = _pinned_run(system, lanes, i)
     for p in range(m + 1):
         for j in range(n):
-            bad = (base[p][j] ^ pinned[p][j]) & dead
+            bad = (base[p][j] ^ pinned[p][j]) >> k * width & dead
             if bad:
-                yield bad >> shift, (
+                yield bad, (
                     f"masked={sorted(run.sets[k])} pinned={system.var_names[i]}: "
                     f"iterate {p} differs at {system.var_names[j]} (m={m})"
                 )
@@ -341,19 +342,13 @@ def _masked_le_pruned(run):
         above = ~_blocks([row[i] for row in values], width) & lanes.without[i]
         return [table[m + 1][i] & above & at_most[n - m] for m in range(n + 1)]
 
-    found = _first_flag([reduce(or_, exceeding(i)) for i in range(n)], width)
-    if found is None:
-        return
-    k, i = found
-    shift, block = k * width, (1 << width) - 1
-    for m, lanes_at_m in enumerate(exceeding(i)):
-        bad = lanes_at_m >> shift & block
-        if bad:
-            yield bad, (
-                f"masked={sorted(run.sets[k])} equation={system.var_names[i]} m={m}: "
-                f"masked application exceeds the pruned term"
-            )
-            return
+    found = _first_failure([exceeding(i) for i in range(n)], width)
+    if found is not None:
+        k, i, m, bad = found
+        yield bad, (
+            f"masked={sorted(run.sets[k])} equation={system.var_names[i]} m={m}: "
+            f"masked application exceeds the pruned term"
+        )
 
 
 def _self_substituted(system: System, pbits: Sequence[int], ones: int) -> Valuation:
@@ -375,15 +370,13 @@ def _self_substitution(run):
     system, ones = run.system, run.ones
     n, width = system.n, ones.bit_length()
     fixpoint = _self_substituted(system, run.pbits, ones)
-    flags = [v ^ _blocks([v & ones] * (n + 1), width) for v in fixpoint]
-    found = _first_flag(flags, width)
-    if found is None:
-        return
-    k, j = found
-    yield flags[j] >> k * width & ones, (
-        f"zeroing {system.var_names[k - 1]} inside its own equation "
-        f"changed the fixpoint at {system.var_names[j]}"
-    )
+    found = _first_failure([[v ^ _blocks([v & ones] * (n + 1), width)] for v in fixpoint], width)
+    if found is not None:
+        k, j, _, bad = found
+        yield bad, (
+            f"zeroing {system.var_names[k - 1]} inside its own equation "
+            f"changed the fixpoint at {system.var_names[j]}"
+        )
 
 
 def _memo_keys(run):
@@ -420,13 +413,16 @@ def check_all(
 ) -> dict[str, Counterexample | None]:
     """Each named suite's first failure on one pass over the system, or None;
     the lowest failing slice is decoded when every assignment is swept."""
+    reports = dict.fromkeys(_VIOLATIONS if names is None else names)
+    unknown = reports.keys() - _VIOLATIONS.keys()
+    if unknown:
+        raise ValueError(f"unknown suites: {', '.join(map(repr, sorted(unknown)))}")
     if params is None:
         pbits, ones = param_masks(system.num_params)
     else:
         _check_params(system, params, 1)
         pbits, ones = params, 1
     run = _Pass(system, pbits, ones, subsets)
-    reports = dict.fromkeys(_VIOLATIONS if names is None else names)
     for name in reports:
         for bad, detail in _VIOLATIONS[name](run):
             found = params

@@ -81,6 +81,21 @@ class TestSolve:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_long_path_pruned_is_a_clean_error(self, tmp_path, capsys):
+        # x_i = x_{i+1}, x_1499 = 1: the pruned form has only 1,500
+        # applications, but its recursion nests one call per equation
+        n = 1500
+        path = tmp_path / "path.bes"
+        path.write_text("".join(f"x{i} = x{i + 1};\n" for i in range(n - 1)) + f"x{n - 1} = 1;\n")
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("(" + ",".join(["1"] * n) + ")\nK=1500\n")
+        build = ["build", str(path), "--form", "pruned", "--emit", "let"]
+        for argv in (build, ["stats", str(path)]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: input nested too deeply (recursion limit reached)\n"
+
 
 def _assert_one_error_line(capsys):
     err = capsys.readouterr().err

@@ -210,6 +210,18 @@ class TestDimacs:
         with pytest.raises(ValueError):
             parse_dimacs("1 0\n")
 
+    def test_one_problem_line_before_every_clause(self):
+        # otherwise a later problem line would win, and clauses could come first
+        with pytest.raises(ValueError, match="second problem line"):
+            parse_dimacs("p cnf 1 1\n1 0\np cnf 5 1\n")
+        with pytest.raises(ValueError, match="second problem line"):
+            parse_dimacs("p cnf 1 0\np cnf 1 0\n")
+        with pytest.raises(ValueError, match="clause line before the problem line"):
+            parse_dimacs("1 0\np cnf 1 1\n")
+        with pytest.raises(ValueError, match="clause line before the problem line"):
+            parse_dimacs("c map 1 x\n-1 0\np cnf 1 1\n")
+        assert parse_dimacs("c map 1 x\np cnf 1 1\n-1 0\n") == CnfFormula(1, ((-1,),), {1: "x"})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CnfFormula(1, ((2,),))

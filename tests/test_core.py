@@ -7,7 +7,6 @@ from bes import props
 from bes.core import (
     And,
     Const,
-    NonMonotoneError,
     Or,
     Param,
     System,
@@ -207,7 +206,7 @@ class TestKleene:
         object.__setattr__(s, "formulas", (NotFormula(Var(0)),))
         object.__setattr__(s, "var_names", ("x",))
         object.__setattr__(s, "param_names", ())
-        with pytest.raises((NonMonotoneError, TypeError)):
+        with pytest.raises((RuntimeError, TypeError)):
             kleene_lfp(s)
 
 
@@ -316,7 +315,7 @@ def definitional_fixpoint(s, start, p, ones):
         if nxt == x:
             return x, k
         x = nxt
-    raise NonMonotoneError("no fixpoint within n + 1 rounds")
+    raise RuntimeError("no fixpoint within n + 1 rounds")
 
 
 def definitional_iterates(s, masked, m, p, ones):
@@ -388,7 +387,7 @@ class TestChangeDrivenIteration:
             return slots[program[1]] ^ ones
 
         monkeypatch.setattr(bes.core, "_run", negated)
-        with pytest.raises(NonMonotoneError):
+        with pytest.raises(RuntimeError, match="lattice height"):
             kleene_lfp(s)
         assert calls == s.n * (s.n + 1)
 
@@ -586,17 +585,58 @@ class TestSystemValidation:
             System((Param(0),), ("x",), ("x",))
 
     def test_rejects_constants_other_than_0_and_1(self):
-        # Const(2) would solve to 1 but print as text the parser refuses
-        for value in (2, -1):
+        # Const(2) would solve to 1 but print as text the parser refuses, and
+        # Const(1.0) and Const(True) print as "1.0" and "True"
+        for value in (2, -1, 1.0, 0.0, True, False):
             with pytest.raises(ValueError, match="constant"):
                 System((Or(Var(0), Const(value)),), ("x",))
         assert System((And(Const(1), Const(0)),), ("x",)).n == 1
 
     def test_rejects_non_formula_nodes(self):
-        # caught here, not later as a TypeError deep inside _gate_list
-        for bad in ("junk", Or(Var(0), 1), And(None, Var(0))):
+        # caught here, not later as a TypeError deep inside _gate_list; _run
+        # would treat MyAnd as a constant, so "a = b & a; b = 0;" would solve
+        # to (1, 0) where its printed text solves to (0, 0)
+        class MyAnd(And):
+            pass
+
+        for bad in ("junk", Or(Var(0), 1), And(None, Var(0)), MyAnd(Var(0), Var(0))):
             with pytest.raises(ValueError, match="not a formula node"):
                 System((bad,), ("x",))
+        with pytest.raises(ValueError, match="not a formula node"):
+            System((MyAnd(Var(1), Var(0)), Const(0)), ("a", "b"))
+
+    def test_rejects_a_polarity_other_than_a_bool(self):
+        # negated=2 prints as "!?p" but its gate slot reads q's literal
+        for negated in (2, 1, 0, None):
+            with pytest.raises(ValueError, match="polarity a bool"):
+                System((Param(0, negated=negated),), ("a",), ("p", "q"))
+        for negated in (False, True):
+            assert System((Param(0, negated),), ("a",), ("p", "q")).n == 1
+
+    @pytest.mark.parametrize("node", [Var(1.0), Var(True), Param(1.0), Param(True)])
+    def test_rejects_indices_other_than_ints(self, node):
+        # Var(1.0) passes a range check, then fails as a TypeError deep inside
+        # kleene_lfp, format_system and build_pruned
+        with pytest.raises(ValueError, match="an index an int in range"):
+            System((And(node, Var(0)), Const(1)), ("a", "b"), ("p", "q"))
+
+
+class TestCounts:
+    """The public counts follow the constructor's rule: an int, not a bool."""
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, True, "2"])
+    def test_iteration_count(self, m):
+        s = parse_system("x = y; y = 1;")
+        with pytest.raises(ValueError, match="iteration count"):
+            masked_iterates(s, frozenset(), m)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+    def test_unrolling_depth(self, k):
+        from bes.dag import build_expanded
+
+        s = parse_system("x = y; y = 1;")
+        with pytest.raises(ValueError, match="unrolling depth"):
+            build_expanded(s, k)
 
 
 # The public functions and classes each reworked module defines.  Names
@@ -604,7 +644,7 @@ class TestSystemValidation:
 # public name is added here on purpose.
 DEFINED = {
     "core": {
-        "And", "Const", "NonMonotoneError", "Or", "Param", "System", "Var",
+        "And", "Const", "Or", "Param", "System", "Var",
         "decode_param_slice", "greatest_fixpoint", "kleene_lfp",
         "masked_iterates", "param_masks", "support",
     },

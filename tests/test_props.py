@@ -611,6 +611,17 @@ class TestOnePass:
         reports = props.check_all(system, (1, 0), None, names)
         assert list(reports.items()) == [(name, None) for name in names]
 
+    def test_unknown_names_are_refused_before_any_suite_runs(self, monkeypatch):
+        system = parse_system("x = ?p & y; y = x | ?q;")
+
+        def no_pass(*args):
+            raise AssertionError("the pass was built")
+
+        monkeypatch.setattr(props, "_Pass", no_pass)
+        for names in (["nope"], ["equality", "nope", "zero_prefix"], iter(["nope"])):
+            with pytest.raises(ValueError, match="unknown suites: 'nope'"):
+                props.check_all(system, names=names)
+
 
 class TestIterateTable:
     def test_table_matches_masked_iteration(self):
