@@ -92,27 +92,39 @@ class TermDag:
 
     def apply(self, func: int, ids: tuple[int, ...]) -> int:
         """Intern equation ``func`` applied to ``ids``, in the order of its
-        support; structurally equal nodes share one id."""
+        support; structurally equal nodes share one id.
+
+        The public entry point: it refuses an index or id that is not an int
+        (a bool included) in range, ids that are not a tuple of the
+        equation's support length, and a frozen DAG.  The builders pass only
+        ids they got from the table, so they call ``_intern`` directly.
+        """
         if self._roots is not None:
             raise RuntimeError("DAG is frozen")
+        if not (type(func) is int and 0 <= func < self.arity):
+            raise ValueError(f"equation index {func!r} is not an int in range({self.arity})")
+        if not isinstance(ids, tuple):
+            raise ValueError(f"argument ids {ids!r} are not a tuple")
+        if len(ids) != len(self.supports[func]):
+            raise ValueError("argument count does not match the equation's support")
+        size = len(self._nodes)
+        for arg in ids:
+            if not (type(arg) is int and 0 <= arg < size):
+                raise ValueError(f"argument {arg!r} is not the id of a node in the table")
+        return self._intern(func, ids)
+
+    def _intern(self, func: int, ids: tuple[int, ...]) -> int:
+        """``apply`` without its checks: the one place a node enters the table.
+
+        The caller vouches that the DAG is not frozen, that ``func`` is an
+        equation index and that ``ids`` is a tuple of the support's length
+        holding ids already in the table.
+        """
         node = (func, ids)
-        try:
-            tid = self._index.get(node)
-        except TypeError:  # unhashable: a list of ids, say; refused below
-            tid = None
+        tid = self._index.get(node)
         if tid is None:
-            if not (isinstance(func, int) and 0 <= func < self.arity):
-                raise ValueError(f"equation index {func!r} is not an int in range({self.arity})")
-            if not isinstance(ids, tuple):
-                raise ValueError(f"argument ids {ids!r} are not a tuple")
-            if len(ids) != len(self.supports[func]):
-                raise ValueError("argument count does not match the equation's support")
-            tid = len(self._nodes)
-            for arg in ids:
-                if not (isinstance(arg, int) and 0 <= arg < tid):
-                    raise ValueError(f"argument {arg!r} is not the id of a node in the table")
+            tid = self._index[node] = len(self._nodes)
             self._nodes.append(node)
-            self._index[node] = tid
         return tid
 
     def freeze(self, roots: tuple[int, ...]) -> "TermDag":
@@ -122,7 +134,7 @@ class TermDag:
         roots = tuple(roots)  # a caller's list must not change the frozen DAG
         if len(roots) != self.arity:
             raise ValueError("need exactly one root per equation")
-        if not all(isinstance(r, int) and 0 <= r < len(self._nodes) for r in roots):
+        if not all(type(r) is int and 0 <= r < len(self._nodes) for r in roots):
             raise ValueError(f"roots {roots!r} are not all ids of nodes in the table")
         self._roots = roots
         return self
@@ -169,7 +181,7 @@ class PrunedBuilder:
         if tid is None:
             inner = masked | bit
             ids = tuple([self.term(inner, j) for j in self.dag.supports[i]])
-            tid = self.dag.apply(i, ids)
+            tid = self.dag._intern(i, ids)
             self._memo[key] = tid
         return tid
 
@@ -202,7 +214,7 @@ def build_expanded(system: System, k: int | None = None) -> TermDag:
     level = [BOTTOM] * n
     for _ in range(k):
         level = [
-            dag.apply(i, tuple([level[j] for j in support]))
+            dag._intern(i, tuple([level[j] for j in support]))
             for i, support in enumerate(dag.supports)
         ]
     return dag.freeze(tuple(level))
@@ -220,7 +232,7 @@ def with_top_leaves(dag: TermDag) -> TermDag:
     out = TermDag(dag.supports)
     remap = [TOP, TOP]
     for func, ids in islice(dag.table, 2, None):
-        remap.append(out.apply(func, tuple([remap[a] for a in ids])))
+        remap.append(out._intern(func, tuple([remap[a] for a in ids])))
     return out.freeze(tuple([remap[r] for r in dag.roots]))
 
 

@@ -13,6 +13,7 @@ assignment giving the queried fixpoint coordinate the queried bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .core import And, Const, System
 from .dag import BOTTOM, TOP, TermDag, _check_layout, dag_stats
@@ -132,23 +133,47 @@ def to_dot(dag: TermDag, system: System) -> str:
 
 @dataclass(frozen=True)
 class CnfFormula:
-    """Clauses in DIMACS convention plus a variable-to-meaning map."""
+    """Clauses in DIMACS convention plus a variable-to-meaning map.
+
+    The constructor refuses a variable count that is not a nonnegative int,
+    and clauses that are not a tuple of nonempty tuples of int literals in
+    range (bools are not ints here).  ``to_cnf`` numbers every literal in
+    range itself, so it builds its result with ``_trusted``, which skips
+    that walk.
+    """
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
     node_map: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if isinstance(self.num_vars, bool) or not isinstance(self.num_vars, int):
-            raise ValueError(f"variable count {self.num_vars!r} is not an int")
-        if self.num_vars < 0:
-            raise ValueError(f"variable count {self.num_vars} is negative")
+        num_vars = self.num_vars
+        if type(num_vars) is not int:
+            raise ValueError(f"variable count {num_vars!r} is not an int")
+        if num_vars < 0:
+            raise ValueError(f"variable count {num_vars} is negative")
+        if type(self.clauses) is not tuple:
+            raise ValueError(f"clauses {self.clauses!r} are not a tuple")
         for clause in self.clauses:
+            if type(clause) is not tuple:
+                raise ValueError(f"clause {clause!r} is not a tuple")
             if not clause:
                 raise ValueError("empty clause")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range")
+                if type(lit) is not int or lit == 0 or abs(lit) > num_vars:
+                    raise ValueError(f"literal {lit!r} out of range")
+
+    @classmethod
+    def _trusted(
+        cls, num_vars: int, clauses: tuple[tuple[int, ...], ...], node_map: dict[int, str]
+    ) -> "CnfFormula":
+        """The formula without the constructor's checks, for input that
+        meets them by construction."""
+        cnf = object.__new__(cls)
+        object.__setattr__(cnf, "num_vars", num_vars)
+        object.__setattr__(cnf, "clauses", clauses)
+        object.__setattr__(cnf, "node_map", node_map)
+        return cnf
 
 
 def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
@@ -169,10 +194,10 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
     two clauses.
     """
     qvar, qbit = query
-    if not (isinstance(qvar, int) and 0 <= qvar < system.n):
+    if not (type(qvar) is int and 0 <= qvar < system.n):
         raise ValueError(f"query variable {qvar!r} is not an int in range({system.n})")
-    if qbit not in (0, 1):
-        raise ValueError("query bit must be 0 or 1")
+    if not (type(qbit) is int and qbit in (0, 1)):
+        raise ValueError(f"query bit {qbit!r} is not the int 0 or 1")
     _check_layout(dag, system)
 
     names = system.var_names
@@ -219,22 +244,20 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
 
     root = node_var[dag.roots[qvar]]
     clauses.append((root,) if qbit else (-root,))
-    return CnfFormula(num_vars, tuple(clauses), node_map)
+    return CnfFormula._trusted(num_vars, tuple(clauses), node_map)
 
 
 def write_dimacs(cnf: CnfFormula) -> str:
     """Standard DIMACS text; the node map travels in ``c map`` comment lines."""
     lines = [f"c map {v} {note}" for v, note in sorted(cnf.node_map.items())]
-    lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
-    # Tseitin clauses have 1 to 3 literals; %-formatting them is about twice
-    # as fast as joining, and prints the same text.
-    formats = (None, "%d 0", "%d %d 0", "%d %d %d 0")
-    for clause in cnf.clauses:
-        if len(clause) <= 3:
-            lines.append(formats[len(clause)] % clause)
-        else:
-            lines.append(" ".join(map(str, clause)) + " 0")
-    return "\n".join(lines) + "\n"
+    lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n")
+    # one %-format over every literal at once prints the same text as
+    # joining each clause, without building a string per clause; the
+    # format holds one shared piece per clause length
+    clauses = cnf.clauses
+    piece = ["%d " * k + "0\n" for k in range(max(map(len, clauses), default=0) + 1)]
+    body = "".join([piece[len(clause)] for clause in clauses])
+    return "\n".join(lines) + body % tuple(chain.from_iterable(clauses))
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -252,8 +275,8 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) == 4 and parts[1] == "map":
                 node_map[int(parts[2])] = parts[3]
             continue
-        if line.startswith("p"):
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"malformed problem line: {line!r}")
             if num_vars is not None:
@@ -263,7 +286,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if num_vars is None:
             raise ValueError(f"clause line before the problem line: {line!r}")
-        literals.extend(int(tok) for tok in line.split())
+        literals.extend(map(int, parts))
     if num_vars is None or num_clauses is None:
         raise ValueError("missing problem line")
     clauses: list[tuple[int, ...]] = []

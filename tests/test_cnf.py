@@ -71,9 +71,12 @@ class TestToCnf:
             to_cnf(dag, s, (5, 1))
         with pytest.raises(ValueError):
             to_cnf(dag, s, (0, 2))
-        for qvar in (0.0, "0", None):
+        for qvar in (0.0, "0", None, True, False):
             with pytest.raises(ValueError, match="query variable"):
                 to_cnf(dag, s, (qvar, 1))
+        for qbit in (True, False, 1.0, 0.0, "1", None):
+            with pytest.raises(ValueError, match="query bit"):
+                to_cnf(dag, s, (0, qbit))
 
     def test_node_map_names_params_and_terms(self):
         s = parse_system("x = ?p & x;")
@@ -96,6 +99,26 @@ class TestToCnf:
             assert sat == exists_param(s, var, bit), (seed, var, bit)
             checked += 1
         assert checked == 300
+
+    def test_result_passes_the_checked_constructor(self):
+        # to_cnf builds its formula without the constructor's literal walk;
+        # rebuilding every result through the checked constructor must
+        # succeed and give an equal formula
+        from test_emit import corpus
+
+        def check(dag, s, query):
+            cnf = to_cnf(dag, s, query)
+            assert CnfFormula(cnf.num_vars, cnf.clauses, cnf.node_map) == cnf
+
+        for s, dags in corpus():
+            for dag in dags:
+                for v in range(s.n):
+                    for bit in (0, 1):
+                        check(dag, s, (v, bit))
+        for seed in range(200):
+            s = gen_random_monotone(seed % 6 + 1, seed % 5, 4, seed + 3000)
+            dag = build_pruned(s) if seed % 2 else build_expanded(s)
+            check(dag, s, (seed % s.n, (seed // 3) % 2))
 
     def test_model_decodes_to_witness(self):
         s = parse_system("x = ?p & !?q; y = x | ?r;")
@@ -209,6 +232,9 @@ class TestDimacs:
             parse_dimacs("p cnf 1 1\n1\n")
         with pytest.raises(ValueError):
             parse_dimacs("1 0\n")
+        # the problem line's first word is exactly p
+        with pytest.raises(ValueError):
+            parse_dimacs("pq cnf 1 1\n1 0\n")
 
     def test_one_problem_line_before_every_clause(self):
         # otherwise a later problem line would win, and clauses could come first
@@ -227,6 +253,19 @@ class TestDimacs:
             CnfFormula(1, ((2,),))
         with pytest.raises(ValueError):
             CnfFormula(1, ((),))
+
+    def test_literals_other_than_ints_and_clauses_other_than_tuples_rejected(self):
+        # write_dimacs would print 1.5 and True as "1", and fail on a None
+        for clause in ((1.5,), (True,), (1, False), (1, None), (1, "2")):
+            with pytest.raises(ValueError, match="literal .* out of range"):
+                CnfFormula(2, (clause,))
+        for clause in ([1, -2], frozenset({1})):
+            with pytest.raises(ValueError, match="not a tuple"):
+                CnfFormula(2, (clause,))
+        for clauses in ([[1, -2]], [(1, -2)]):
+            with pytest.raises(ValueError, match="not a tuple"):
+                CnfFormula(2, clauses)
+        assert write_dimacs(CnfFormula(2, ((1, -2),))) == "p cnf 2 1\n1 -2 0\n"
 
     def test_negative_variable_count_rejected(self):
         with pytest.raises(ValueError, match="variable count -1 is negative"):

@@ -168,9 +168,9 @@ class TestPruned:
         n = 30
         s = parse_system(" ".join(f"x{i} = x{i + 1};" for i in range(n - 1)) + f" x{n - 1} = 1;")
         calls = []
-        original = TermDag.apply
+        original = TermDag._intern
         monkeypatch.setattr(
-            TermDag, "apply", lambda dag, func, args: calls.append(func) or original(dag, func, args)
+            TermDag, "_intern", lambda dag, func, args: calls.append(func) or original(dag, func, args)
         )
         assert len(build_pruned(s)) == n + 2 and len(calls) == n
         calls.clear()
@@ -200,6 +200,31 @@ class TestPruned:
                 canonical = build_pruned(s)
                 reference = build_pruned_reference(s)
                 assert _same_terms(canonical, reference), pattern
+
+
+class TestTrustedInterning:
+    def test_builder_tables_equal_a_replay_through_apply(self):
+        # the builders intern their nodes without apply's checks; replaying
+        # every node through the checked apply, in id order, must give each
+        # node its own id again and rebuild the same table and index
+        from bes.dag import TermDag
+
+        systems = [gen_random_monotone(seed % 6 + 1, seed % 3, 4, seed + 7000) for seed in range(200)]
+        systems += [gen_family(FamilySpec("chain", 8)), gen_family(FamilySpec("complete", 5))]
+        for s in systems:
+            pruned = build_pruned(s)
+            expanded = build_expanded(s)
+            for dag in (
+                pruned, build_pruned_reference(s), expanded, build_expanded(s, 2),
+                with_top_leaves(pruned), with_top_leaves(expanded),
+            ):
+                replay = TermDag(dag.supports)
+                for tid in range(2, len(dag)):
+                    func, ids = dag.table[tid]
+                    assert replay.apply(func, ids) == tid
+                assert replay.table == dag.table
+                assert replay._index == dag._index
+                assert replay.freeze(dag.roots).roots == dag.roots
 
 
 def _same_terms(a, b):
@@ -461,7 +486,10 @@ class TestFrozenDiscipline:
 
         dag = TermDag([(0,), (0, 1)])
         tid = dag.apply(0, (BOTTOM,))
-        bad = ((), (tid,), (tid, tid, tid), (tid, tid + 1), (-1, tid), (1.0, tid), ("a", tid))
+        bad = (
+            (), (tid,), (tid, tid, tid), (tid, tid + 1), (-1, tid), (1.0, tid), ("a", tid),
+            (True, False), (tid, False),
+        )
         for roots in bad:
             with pytest.raises(ValueError):
                 dag.freeze(roots)
@@ -575,10 +603,19 @@ class TestFrozenDiscipline:
         from bes.dag import TermDag
 
         dag = TermDag([(0,)])
-        for arg in (0.5, 1.0, "1", None):
+        for arg in (0.5, 1.0, "1", None, True, False):
             with pytest.raises(ValueError, match="is not the id of a node"):
                 dag.apply(0, (arg,))
         assert len(dag) == 2
+        # nor a bool, though it hashes like the node with that int id
+        dag = TermDag([(0,), (0,)])
+        assert dag.apply(0, (BOTTOM,)) == 2
+        for arg in (True, False):
+            with pytest.raises(ValueError, match="is not the id of a node"):
+                dag.apply(1, (arg,))
+            with pytest.raises(ValueError, match="is not the id of a node"):
+                dag.apply(0, (arg,))
+        assert len(dag) == 3
 
     def test_equation_index_and_id_tuple_of_other_types_rejected(self):
         # refused like the other malformed nodes, not as a TypeError from
@@ -588,7 +625,7 @@ class TestFrozenDiscipline:
 
         dag = TermDag([(0,)])
         for func, ids in (
-            (0.0, (BOTTOM,)), ("0", (BOTTOM,)), (None, (BOTTOM,)),
+            (0.0, (BOTTOM,)), ("0", (BOTTOM,)), (None, (BOTTOM,)), (False, (BOTTOM,)),
             (0, [BOTTOM]), (0, frozenset({BOTTOM})), (0, ([BOTTOM],)),
         ):
             with pytest.raises(ValueError):
