@@ -161,7 +161,9 @@ class CnfFormula:
                 raise ValueError("empty clause")
             for lit in clause:
                 if type(lit) is not int or lit == 0 or abs(lit) > num_vars:
-                    raise ValueError(f"literal {lit!r} out of range")
+                    raise ValueError(
+                        f"literal {lit!r} is not a nonzero int between -{num_vars} and {num_vars}"
+                    )
 
     @classmethod
     def _trusted(

@@ -253,11 +253,9 @@ class TestDimacs:
             CnfFormula(1, ((2,),))
         with pytest.raises(ValueError):
             CnfFormula(1, ((),))
-
-    def test_literals_other_than_ints_and_clauses_other_than_tuples_rejected(self):
         # write_dimacs would print 1.5 and True as "1", and fail on a None
         for clause in ((1.5,), (True,), (1, False), (1, None), (1, "2")):
-            with pytest.raises(ValueError, match="literal .* out of range"):
+            with pytest.raises(ValueError, match="literal .* is not a nonzero int between -2 and 2"):
                 CnfFormula(2, (clause,))
         for clause in ([1, -2], frozenset({1})):
             with pytest.raises(ValueError, match="not a tuple"):
