@@ -136,10 +136,13 @@ class CnfFormula:
     """Clauses in DIMACS convention plus a variable-to-meaning map.
 
     The constructor refuses a variable count that is not a nonnegative int,
-    and clauses that are not a tuple of nonempty tuples of int literals in
-    range (bools are not ints here).  ``to_cnf`` numbers every literal in
-    range itself, so it builds its result with ``_trusted``, which skips
-    that walk.
+    clauses that are not a tuple of nonempty tuples of int literals in
+    range (bools are not ints here), and a node map that is not a dict from
+    variables 1..num_vars to notes of one nonblank line without outer
+    whitespace, since ``write_dimacs`` could not print any other map for
+    ``parse_dimacs`` to read back.  ``to_cnf`` numbers every literal in
+    range itself and writes well-formed notes, so it builds its result with
+    ``_trusted``, which skips these walks.
     """
 
     num_vars: int
@@ -164,6 +167,15 @@ class CnfFormula:
                     raise ValueError(
                         f"literal {lit!r} is not a nonzero int between -{num_vars} and {num_vars}"
                     )
+        if type(self.node_map) is not dict:
+            raise ValueError(f"node map {self.node_map!r} is not a dict")
+        for v, note in self.node_map.items():
+            if type(v) is not int or not 1 <= v <= num_vars:
+                raise ValueError(f"node map key {v!r} is not an int between 1 and {num_vars}")
+            if type(note) is not str or note.strip() != note or note.splitlines() != [note]:
+                raise ValueError(
+                    f"node map note {note!r} is not one nonblank line without outer whitespace"
+                )
 
     @classmethod
     def _trusted(

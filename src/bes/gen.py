@@ -28,6 +28,8 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if type(self.n) is not int:
+            raise ValueError(f"arity {self.n!r} is not an int")
         if self.family == "chain":
             if self.n < 2 or self.n % 2:
                 raise ValueError("chain needs an even arity of at least 2")
@@ -117,6 +119,9 @@ def gen_random_monotone(n: int, num_params: int, max_depth: int, seed: int) -> S
     most equations actually consult the state; after eight attempts it is
     kept as-is to avoid skewing the distribution.
     """
+    for name, value in (("n", n), ("num_params", num_params), ("max_depth", max_depth)):
+        if type(value) is not int:
+            raise ValueError(f"{name} {value!r} is not an int")
     if n < 1 or num_params < 0 or max_depth < 1:
         raise ValueError("need n >= 1, num_params >= 0, max_depth >= 1")
     rng = random.Random(seed)

@@ -180,33 +180,30 @@ def parse_system(text: str) -> System:
     return System(formulas, tuple(var_index), tuple(param_index))
 
 
-def _format_formula(f: Formula, system: System) -> str:
-    if isinstance(f, Const):
-        return str(f.value)
-    if isinstance(f, Var):
-        return system.var_names[f.index]
-    if isinstance(f, Param):
-        name = system.param_names[f.index]
-        return f"!?{name}" if f.negated else f"?{name}"
-    if isinstance(f, And):
-        left = _format_formula(f.left, system)
-        if isinstance(f.left, Or):
-            left = f"({left})"
-        right = _format_formula(f.right, system)
-        if isinstance(f.right, (Or, And)):
-            right = f"({right})"
-        return f"{left} & {right}"
-    left = _format_formula(f.left, system)
-    right = _format_formula(f.right, system)
-    if isinstance(f.right, Or):
-        right = f"({right})"
-    return f"{left} | {right}"
-
-
 def format_system(system: System) -> str:
-    """Render a System in BES syntax; parsing the result reproduces it exactly."""
-    lines = [
-        f"{system.var_names[i]} = {_format_formula(system.formulas[i], system)};"
-        for i in range(system.n)
-    ]
+    """Render a System in BES syntax; parsing the result reproduces it exactly.
+
+    Each equation replays its compiled gate list (see ``core._gate_list``)
+    over text slots, one string per support variable, parameter literal and
+    gate, with parentheses only where the parser's left-associative,
+    ``&``-before-``|`` reading needs them.
+    """
+    names = system.var_names
+    params = [lit for name in system.param_names for lit in (f"?{name}", f"!?{name}")]
+    lines = []
+    for name, supp, (gates, out) in zip(names, system._supports, system._programs):
+        text = [names[v] for v in supp] + params
+        ops: list[type | None] = [None] * len(text)  # the gate type that wrote each slot
+        for op, a, b in gates:
+            if op is Const:
+                text.append(str(a))
+            elif op is And:
+                left = f"({text[a]})" if ops[a] is Or else text[a]
+                right = f"({text[b]})" if ops[b] in (And, Or) else text[b]
+                text.append(f"{left} & {right}")
+            else:
+                right = f"({text[b]})" if ops[b] is Or else text[b]
+                text.append(f"{text[a]} | {right}")
+            ops.append(op)
+        lines.append(f"{name} = {text[out]};")
     return "\n".join(lines) + "\n"

@@ -110,9 +110,10 @@ def test_wide_equation_failures():
     3000 terms, which the parser reads as a left-deep chain of binary ``|``
     nodes.  ``perfbench/tests/test_smoke.py`` expects exactly these four
     calls on it to raise ``RecursionError`` (its ``WIDE_FAILURES``), and
-    the workload's ``cnf_clauses`` counts no clause of it.  The change that
-    makes them work (ROADMAP item 2: an iterative ``_gate_list`` and
-    ``_format_formula``) changes the benchmark's expected figures with it.
+    the workload's ``cnf_clauses`` counts no clause of it.  All four fail
+    inside ``core._gate_list``, which compiles the equation that each of them
+    replays.  The change that makes them work (ROADMAP item 1: an iterative
+    ``_gate_list``) changes the benchmark's expected figures with it.
     """
     terms = " | ".join(f"w{t % 4} & {'!' if t % 2 else ''}?r{t % 3 + 1}" for t in range(3000))
     s = bes.text.parse_system(f"w0 = {terms};\nw1 = w0 & ?r1;\nw2 = w1 | ?r2;\nw3 = w2 & w3;\n")

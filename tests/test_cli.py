@@ -149,6 +149,24 @@ class TestBuild:
         ) == 0
         assert "p cnf" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ("zz=1", "unknown variable 'zz' in --query"),
+            ("a=2", "--query needs a 0/1 value"),
+            ("a=", "--query needs a 0/1 value"),
+            ("a=01", "--query needs a 0/1 value"),
+            ("a", "--query needs a 0/1 value"),
+            ("=1", "unknown variable '' in --query"),
+        ],
+    )
+    def test_dimacs_query_refusals(self, bes_file, capsys, query, message):
+        argv = ["build", bes_file, "--form", "pruned", "--emit", "dimacs", "--query", query]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_gfp_leaves_print_top(self, tmp_path, capsys):
         path = tmp_path / "g.bes"
         path.write_text("x = x;\n")

@@ -264,6 +264,21 @@ class TestDimacs:
             with pytest.raises(ValueError, match="not a tuple"):
                 CnfFormula(2, clauses)
         assert write_dimacs(CnfFormula(2, ((1, -2),))) == "p cnf 2 1\n1 -2 0\n"
+        # write_dimacs would print a key that parse_dimacs refuses or reads
+        # back as another, or a key that is no variable of the formula
+        for key in (True, "x", 0, 3, -1, 1.0):
+            with pytest.raises(ValueError, match="node map key .* is not an int between 1 and 2"):
+                CnfFormula(2, ((1,),), {key: "a"})
+        # ... and a note that parse_dimacs refuses ("a\nb", "a\x1cb") or
+        # reads back as another (" a" as "a", "" as no entry, 3 as "3")
+        for note in ("a\nb", "a\x1cb", "a\n", " a", "a ", "", 3, None):
+            with pytest.raises(ValueError, match="node map note .* is not one nonblank line"):
+                CnfFormula(2, ((1,),), {1: note})
+        for node_map in ([(1, "a")], None):
+            with pytest.raises(ValueError, match="node map .* is not a dict"):
+                CnfFormula(2, ((1,),), node_map)
+        cnf = CnfFormula(2, ((1,),), {1: "param p", 2: "term 3 x"})
+        assert parse_dimacs(write_dimacs(cnf)) == cnf
 
     def test_negative_variable_count_rejected(self):
         with pytest.raises(ValueError, match="variable count -1 is negative"):

@@ -28,6 +28,13 @@ class TestFamilySpec:
         with pytest.raises(ValueError):
             FamilySpec("ring", 4)
 
+    def test_arity_other_than_an_int(self):
+        # complete at True built a one-equation system, and 3.0 failed in range()
+        for family in ("chain", "complete", "sparse3", "random"):
+            for n in (True, 3.0, 4.0, "4", None):
+                with pytest.raises(ValueError, match="arity .* is not an int"):
+                    FamilySpec(family, n)
+
 
 class TestFamilies:
     def test_chain_supports_follow_parity(self):
@@ -93,6 +100,17 @@ class TestRandomMonotone:
             gen_random_monotone(1, -1, 1, 1)
         with pytest.raises(ValueError):
             gen_random_monotone(1, 0, 0, 1)
+        # the counts are ints and not bools, as at the other entry points
+        for args, name in [
+            ((True, 0, 2, 1), "n"),
+            ((2.0, 0, 2, 1), "n"),
+            ((2, False, 2, 1), "num_params"),
+            ((2, 1.0, 2, 1), "num_params"),
+            ((2, 0, 2.0, 1), "max_depth"),
+            ((2, 0, True, 1), "max_depth"),
+        ]:
+            with pytest.raises(ValueError, match=f"{name} .* is not an int"):
+                gen_random_monotone(*args)
 
 
 class TestScaling:

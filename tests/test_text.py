@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bes.core import And, Const, Or, Param, Var, kleene_lfp
-from bes.gen import gen_random_monotone
+import bes.core
+from bes.core import And, Const, Or, Param, Var, kleene_lfp, param_masks
+from bes.gen import FAMILIES, FamilySpec, gen_family, gen_random_monotone
 from bes.text import BesParseError, format_system, parse_system
+from formula_oracle import format_formula
 
 
 class TestParse:
@@ -185,6 +187,57 @@ def test_seeded_front_end_fuzz():
         accepted += 1
         assert parse_system(format_system(s)) == s, text
     assert 500 < accepted < 4500
+
+
+class TestPrinterOracle:
+    """``format_system`` replays each equation's gate list; the oracle walks its tree."""
+
+    @staticmethod
+    def _oracle(s):
+        return "".join(
+            f"{name} = {format_formula(f, s)};\n" for name, f in zip(s.var_names, s.formulas)
+        )
+
+    def test_fuzz_inputs(self):
+        # the inputs of test_seeded_front_end_fuzz that parse
+        rng = random.Random(20041)
+        for _ in range(5000):
+            text = _fuzz_text(rng)
+            try:
+                s = parse_system(text)
+            except BesParseError:
+                continue
+            assert format_system(s) == self._oracle(s), text
+
+    def test_random_systems(self):
+        rng = random.Random(19)
+        for _ in range(2400):
+            s = gen_random_monotone(
+                rng.randint(1, 8), rng.randint(0, 4), rng.randint(1, 6), rng.randrange(2**32)
+            )
+            assert format_system(s) == self._oracle(s)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_families(self, family):
+        sizes = [3] if family == "sparse3" else [2, 4, 8, 20]
+        for n in sizes:
+            for seed in range(3):
+                s = gen_family(FamilySpec(family, n, seed))
+                assert format_system(s) == self._oracle(s)
+
+    def test_printing_then_solving_compiles_each_equation_once(self, monkeypatch):
+        calls = []
+        real = bes.core._gate_list
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bes.core, "_gate_list", counting)
+        s = gen_random_monotone(9, 3, 5, 7)
+        format_system(s)
+        kleene_lfp(s, *param_masks(s.num_params))
+        assert len(calls) == s.n
 
 
 class TestRoundTrip:
