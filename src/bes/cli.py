@@ -105,7 +105,9 @@ def _cmd_build(args) -> int:
     else:
         if args.query is None:
             raise ValueError("--emit dimacs requires --query var=bit")
-        name, _, bit = args.query.partition("=")
+        name, eq, bit = args.query.partition("=")
+        if not (name and eq):
+            raise ValueError(f"--query must be var=bit, got {args.query!r}")
         if name not in system.var_names:
             raise ValueError(f"unknown variable {name!r} in --query")
         if bit not in ("0", "1"):

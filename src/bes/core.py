@@ -88,7 +88,9 @@ class System:
     ``formulas[i]`` is the right-hand side defining ``var_names[i]``.
     Validation happens at construction; a System that exists is well formed:
     every node is exactly a Const, Var, Param, And or Or, every constant the
-    int 0 or 1, every index an int in range and every polarity a bool.
+    int 0 or 1, every index an int in range and every polarity a bool.  The
+    parser builds only such nodes, with distinct names, so it builds its
+    result with ``_trusted``, which skips these checks.
     """
 
     formulas: tuple[Formula, ...]
@@ -125,6 +127,18 @@ class System:
                         f"equation {i} uses {node!r}: a constant must be the int 0 or 1, "
                         "an index an int in range and a polarity a bool"
                     )
+
+    @classmethod
+    def _trusted(
+        cls, formulas: tuple[Formula, ...], var_names: tuple[str, ...], param_names: tuple[str, ...]
+    ) -> "System":
+        """The system without the constructor's checks, for input that meets
+        them by construction."""
+        system = object.__new__(cls)
+        object.__setattr__(system, "formulas", formulas)
+        object.__setattr__(system, "var_names", var_names)
+        object.__setattr__(system, "param_names", param_names)
+        return system
 
     @property
     def n(self) -> int:

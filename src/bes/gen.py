@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from numbers import Real
 
 from .core import And, Const, Formula, Or, Param, System, Var, support
 
@@ -30,6 +31,10 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.family!r}")
         if type(self.n) is not int:
             raise ValueError(f"arity {self.n!r} is not an int")
+        if type(self.seed) is not int:  # random.Random(None) would seed from the OS
+            raise ValueError(f"seed {self.seed!r} is not an int")
+        if isinstance(self.density, bool) or not isinstance(self.density, Real):
+            raise ValueError(f"density {self.density!r} is not a real number")
         if self.family == "chain":
             if self.n < 2 or self.n % 2:
                 raise ValueError("chain needs an even arity of at least 2")
@@ -119,7 +124,9 @@ def gen_random_monotone(n: int, num_params: int, max_depth: int, seed: int) -> S
     most equations actually consult the state; after eight attempts it is
     kept as-is to avoid skewing the distribution.
     """
-    for name, value in (("n", n), ("num_params", num_params), ("max_depth", max_depth)):
+    for name, value in (
+        ("n", n), ("num_params", num_params), ("max_depth", max_depth), ("seed", seed)
+    ):
         if type(value) is not int:
             raise ValueError(f"{name} {value!r} is not an int")
     if n < 1 or num_params < 0 or max_depth < 1:

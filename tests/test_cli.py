@@ -156,8 +156,8 @@ class TestBuild:
             ("a=2", "--query needs a 0/1 value"),
             ("a=", "--query needs a 0/1 value"),
             ("a=01", "--query needs a 0/1 value"),
-            ("a", "--query needs a 0/1 value"),
-            ("=1", "unknown variable '' in --query"),
+            ("a", "--query must be var=bit, got 'a'"),
+            ("=1", "--query must be var=bit, got '=1'"),
         ],
     )
     def test_dimacs_query_refusals(self, bes_file, capsys, query, message):

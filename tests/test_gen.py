@@ -36,6 +36,23 @@ class TestFamilySpec:
                     FamilySpec(family, n)
 
 
+    def test_seed_other_than_an_int(self):
+        # random.Random(None) seeds from the OS: two equal specs, two systems
+        for family, n in (("chain", 4), ("complete", 3), ("sparse3", 3), ("random", 6)):
+            for seed in (None, True, 1.0, "1"):
+                with pytest.raises(ValueError, match="seed .* is not an int"):
+                    FamilySpec(family, n, seed=seed)
+
+    def test_density_other_than_a_real_number(self):
+        for density in (True, False, None, "0.5", 1j):
+            with pytest.raises(ValueError, match="density .* is not a real number"):
+                FamilySpec("random", 4, density=density)
+        for density in (float("nan"), -0.5, 0, 2):
+            with pytest.raises(ValueError, match=r"density must be in \(0, 1\]"):
+                FamilySpec("random", 4, density=density)
+        assert gen_family(FamilySpec("random", 4, density=1)).n == 4
+
+
 class TestFamilies:
     def test_chain_supports_follow_parity(self):
         s = gen_family(FamilySpec("chain", 6))
@@ -108,6 +125,9 @@ class TestRandomMonotone:
             ((2, 1.0, 2, 1), "num_params"),
             ((2, 0, 2.0, 1), "max_depth"),
             ((2, 0, True, 1), "max_depth"),
+            ((2, 0, 2, None), "seed"),
+            ((2, 0, 2, True), "seed"),
+            ((2, 0, 2, 1.0), "seed"),
         ]:
             with pytest.raises(ValueError, match=f"{name} .* is not an int"):
                 gen_random_monotone(*args)

@@ -1,13 +1,15 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bes.core
-from bes.core import And, Const, Or, Param, Var, kleene_lfp, param_masks
+from bes.core import And, Const, Or, Param, System, Var, kleene_lfp, param_masks
 from bes.gen import FAMILIES, FamilySpec, gen_family, gen_random_monotone
 from bes.text import BesParseError, format_system, parse_system
 from formula_oracle import format_formula
+import parse_oracle
 
 
 class TestParse:
@@ -187,6 +189,117 @@ def test_seeded_front_end_fuzz():
         accepted += 1
         assert parse_system(format_system(s)) == s, text
     assert 500 < accepted < 4500
+
+
+def _outcome(parse, text):
+    """The parsed System, or the (message, line, col, kind) of the refusal."""
+    try:
+        return parse(text)
+    except BesParseError as err:
+        return (str(err), err.line, err.col, err.kind)
+
+
+def _same_formula(a, b) -> bool:
+    """Structural equality by an explicit stack; ``==`` recurses on long chains."""
+    stack = [(a, b)]
+    while stack:
+        f, g = stack.pop()
+        if type(f) is not type(g):
+            return False
+        if type(f) in (And, Or):
+            stack += (f.left, g.left), (f.right, g.right)
+        elif f != g:
+            return False
+    return True
+
+
+def _deep_text(n: int, rng: random.Random) -> str:
+    """The benchmark's deep-solve shape: d_i = d_{i-1} & ?a | d_j & !?b."""
+    lines = []
+    for i in range(n):
+        a, j, b = rng.randrange(1, 5), rng.randrange(n), rng.randrange(1, 5)
+        head = f"?q{a}" if i == 0 else f"d{i - 1} & ?q{a}"
+        lines.append(f"d{i} = {head} | d{j} & !?q{b};")
+    return "\n".join(lines) + "\n"
+
+
+WIDE_TEXT = "w0 = {};\nw1 = w0 & ?r1;\nw2 = w1 | ?r2;\nw3 = w2 & w3;\n".format(
+    " | ".join(f"w{t % 4} & {'!' if t % 2 else ''}?r{t % 3 + 1}" for t in range(3000))
+)
+
+
+class TestParseOracle:
+    """``parse_system`` against ``tests/parse_oracle.py``, which positions every
+    token and builds its System through the checked constructor: the same
+    System, or the same message, line, column and kind."""
+
+    @staticmethod
+    def _check(text):
+        got = _outcome(parse_system, text)
+        assert got == _outcome(parse_oracle.parse_system, text), text
+        if isinstance(got, System):  # the checked constructor accepts it too
+            assert System(got.formulas, got.var_names, got.param_names) == got
+
+    def test_fuzz_inputs(self):
+        # the inputs of test_seeded_front_end_fuzz
+        rng = random.Random(20041)
+        for _ in range(5000):
+            self._check(_fuzz_text(rng))
+
+    @pytest.mark.parametrize("text", [row[0] for row in ERROR_TABLE])
+    def test_error_table(self, text):
+        self._check(text)
+
+    def test_token_soup(self):
+        # short strings over every lexical class, so most fail somewhere
+        pieces = ["x", "y", "_q", "?", "!", "(", ")", "&", "|", "=", ";", " ", "\n", "\r",
+                  "\t", "# c", "#", "0", "1", "01", "1b", "$", "é"]
+        rng = random.Random(2004)
+        for _ in range(20000):
+            self._check("".join(rng.choice(pieces) for _ in range(rng.randint(0, 12))))
+
+    @pytest.mark.parametrize("name", ["deep-1400", "wide-3000"])
+    def test_benchmark_shapes(self, name):
+        text = _deep_text(1400, random.Random(5)) if name == "deep-1400" else WIDE_TEXT
+        got, want = parse_system(text), parse_oracle.parse_system(text)
+        assert (got.var_names, got.param_names) == (want.var_names, want.param_names)
+        assert all(map(_same_formula, got.formulas, want.formulas))
+
+    def test_leaves_are_shared(self):
+        # one Var per variable, one Param per literal and one Const per value
+        a, b = parse_system("x = x & ?p; y = ?p & x | 1 | 1;").formulas
+        assert b == Or(Or(And(Param(0), Var(0)), Const(1)), Const(1))
+        assert a.left is b.left.left.right and a.right is b.left.left.left
+        assert b.left.right is b.right
+
+
+class TestLinearTime:
+    """Long inputs, valid and not, on which a backtracking token pattern or a
+    quadratic position search would take far longer than the bound."""
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("x = 1;" + " " * 200_000, None),
+            ("x = 1" + " \t\r\n" * 50_000, "50001:1: missing ';' at end of equation"),
+            ("x = 1; #" + "c" * 200_000, None),
+            ("x = 1 #" + "c" * 200_000, "1:7: missing ';' at end of equation"),
+            ("x = " + "(" * 100_000 + "x" + ")" * 100_000 + ";", None),
+            ("x = " + "(" * 100_000 + "x;", "1:100006: expected ')', found end of input"),
+            (WIDE_TEXT, None),
+        ],
+        ids=["blanks", "blanks-error", "comment", "comment-error", "parens", "parens-error",
+             "wide-3000"],
+    )
+    def test_parse_time(self, text, error):
+        start = time.perf_counter()
+        try:
+            parse_system(text)
+            outcome = None
+        except BesParseError as err:
+            outcome = str(err)
+        assert time.perf_counter() - start < 2.0
+        assert outcome == error
 
 
 class TestPrinterOracle:
