@@ -189,6 +189,13 @@ class System:
         num_params = self.num_params
         return tuple(_gate_list(f, s, num_params) for f, s in zip(self.formulas, self._supports))
 
+    @cached_property
+    def _clause_templates(self) -> dict[int, list]:
+        """``emit.to_cnf``'s clause templates, compiled from ``_programs`` on
+        first use: per set of constants already numbered (a bitmask), one
+        slot per equation."""
+        return {}
+
 
 def _gate_list(f: Formula, support: tuple[int, ...], num_params: int) -> _Program:
     """Post-order gate list of one equation's formula, and its output slot.
@@ -198,7 +205,9 @@ def _gate_list(f: Formula, support: tuple[int, ...], num_params: int) -> _Progra
     negated literal, then the gate outputs in list order.  A gate is
     ``(And|Or, left slot, right slot)``, or ``(Const, value, 0)`` for a
     constant.  This is the one compiled form of an equation: ``_run``
-    evaluates it and ``emit.to_cnf`` encodes it.
+    evaluates it, ``text.format_system`` prints it, and ``emit.to_cnf``
+    compiles it once more into the clause template that prints the clauses
+    of every node applying the equation (see ``emit._template``).
     """
     slot_of_var = {v: k for k, v in enumerate(support)}
     param_base = len(support)

@@ -7,18 +7,25 @@ reads the DAG's roots before it writes anything, so a DAG still being built
 is refused with the RuntimeError that ``TermDag.roots`` raises.  The CNF
 emitter performs a Tseitin encoding whose satisfiability, for a DAG that is
 a closed form of the least fixpoint, matches the existence of a parameter
-assignment giving the queried fixpoint coordinate the queried bit.
+assignment giving the queried fixpoint coordinate the queried bit.  It
+prints each node's clauses straight to DIMACS text from a clause template
+compiled once per equation, and ``CnfFormula`` keeps that text, with its
+``clauses`` a read-only view over it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 
-from .core import And, Const, System
+from .core import And, Const, System, _Program
 from .dag import BOTTOM, TOP, TermDag, _check_layout, dag_stats
 
 DEFAULT_TREE_SIZE_LIMIT = 1_000_000
+
+_decimal = int.__repr__  # an int's decimal text; faster than str()
 
 
 class TreeSizeLimitError(Exception):
@@ -131,22 +138,84 @@ def to_dot(dag: TermDag, system: System) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Clauses(Sequence):
+    """Read-only view of a formula's clauses over their DIMACS body.
+
+    The body holds one ``lit lit ... 0`` line per clause, as ``write_dimacs``
+    prints it.  ``len`` reads the stored count; iteration, indexing and
+    comparison with a tuple read the body once, with the clause reader that
+    ``parse_dimacs`` uses, into a tuple of int tuples and keep it.  Two views
+    are equal exactly when their bodies are, since one format prints both.
+    """
+
+    __slots__ = ("_body", "_count", "_parsed")
+
+    def __init__(self, body: str, count: int, parsed: tuple[tuple[int, ...], ...] | None = None):
+        self._body = body
+        self._count = count
+        self._parsed = parsed
+
+    def _tuples(self) -> tuple[tuple[int, ...], ...]:
+        if self._parsed is None:
+            self._parsed = _read_clauses(list(map(int, self._body.split())))
+        return self._parsed
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._tuples()[index]
+
+    def __iter__(self):
+        return iter(self._tuples())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is _Clauses:
+            return self._body == other._body
+        if type(other) is tuple:
+            return self._tuples() == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._tuples())
+
+
+def _read_clauses(literals: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The clauses of a DIMACS literal list, each closed by a 0."""
+    clauses: list[tuple[int, ...]] = []
+    start = 0
+    end = len(literals)
+    while start < end:
+        try:
+            stop = literals.index(0, start)
+        except ValueError:
+            raise ValueError("clause not terminated by 0") from None
+        clauses.append(tuple(literals[start:stop]))
+        start = stop + 1
+    return tuple(clauses)
+
+
 @dataclass(frozen=True)
 class CnfFormula:
     """Clauses in DIMACS convention plus a variable-to-meaning map.
 
-    The constructor refuses a variable count that is not a nonnegative int,
-    clauses that are not a tuple of nonempty tuples of int literals in
-    range (bools are not ints here), and a node map that is not a dict from
-    variables 1..num_vars to notes of one nonblank line without outer
-    whitespace, since ``write_dimacs`` could not print any other map for
-    ``parse_dimacs`` to read back.  ``to_cnf`` numbers every literal in
-    range itself and writes well-formed notes, so it builds its result with
-    ``_trusted``, which skips these walks.
+    ``clauses`` is a read-only sequence view (``_Clauses``) over the DIMACS
+    body that ``write_dimacs`` prints: its length costs nothing, and it
+    reads its clause tuples from the body on first iteration or indexing.
+
+    The constructor takes the clauses as a tuple of tuples and refuses a
+    variable count that is not a nonnegative int, clauses that are not a
+    tuple of nonempty tuples of int literals in range (bools are not ints
+    here), and a node map that is not a dict from variables 1..num_vars to
+    notes of one nonblank line without outer whitespace, since
+    ``write_dimacs`` could not print any other map for ``parse_dimacs`` to
+    read back.  ``to_cnf`` numbers every literal in range itself, writes
+    well-formed notes and prints its body directly, so it builds its result
+    with ``_trusted``, which skips these walks.
     """
 
     num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
+    clauses: Sequence[tuple[int, ...]]
     node_map: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -155,9 +224,10 @@ class CnfFormula:
             raise ValueError(f"variable count {num_vars!r} is not an int")
         if num_vars < 0:
             raise ValueError(f"variable count {num_vars} is negative")
-        if type(self.clauses) is not tuple:
-            raise ValueError(f"clauses {self.clauses!r} are not a tuple")
-        for clause in self.clauses:
+        clauses = self.clauses
+        if type(clauses) is not tuple:
+            raise ValueError(f"clauses {clauses!r} are not a tuple")
+        for clause in clauses:
             if type(clause) is not tuple:
                 raise ValueError(f"clause {clause!r} is not a tuple")
             if not clause:
@@ -176,11 +246,12 @@ class CnfFormula:
                 raise ValueError(
                     f"node map note {note!r} is not one nonblank line without outer whitespace"
                 )
+        fmt = "".join(["%d " * len(clause) + "0\n" for clause in clauses])
+        body = fmt % tuple(chain.from_iterable(clauses))
+        object.__setattr__(self, "clauses", _Clauses(body, len(clauses), clauses))
 
     @classmethod
-    def _trusted(
-        cls, num_vars: int, clauses: tuple[tuple[int, ...], ...], node_map: dict[int, str]
-    ) -> "CnfFormula":
+    def _trusted(cls, num_vars: int, clauses: _Clauses, node_map: dict[int, str]) -> "CnfFormula":
         """The formula without the constructor's checks, for input that
         meets them by construction."""
         cnf = object.__new__(cls)
@@ -188,6 +259,68 @@ class CnfFormula:
         object.__setattr__(cnf, "clauses", clauses)
         object.__setattr__(cnf, "node_map", node_map)
         return cnf
+
+
+# A clause template prints the clauses of one node that applies an equation.
+# The node's literal row holds the decimal text of its argument variables,
+# of the parameters' variables, of the variables of the constants 0 and 1,
+# of its own variable v and of its fresh variables v+1..v+m.  Every entry is
+# a positive variable, so the format carries each literal's sign itself.
+_Template = tuple[itemgetter, str, int, int, tuple[tuple[int, int], ...]]
+
+
+def _template(program: _Program, num_args: int, num_params: int, known: int) -> _Template:
+    """Compile one equation's gate list (see ``core._gate_list``) into its clause template.
+
+    ``known`` has bit c set when the constant c already has a variable.  A
+    constant without one takes the next fresh variable at its first use in
+    the gate list, pinned there by a unit clause.  Each And/Or gate takes
+    the next fresh variable and its three clauses, and the node's variable
+    is tied to the output with two.  The template holds the getter of these
+    literals from the row, the format that prints them, the clause count,
+    the fresh-variable count m, and (constant, row index) for each constant
+    it numbers.
+    """
+    gates, out = program
+    const_base = num_args + num_params
+    node = const_base + 2
+    fresh = node + 1
+    # each slot's literal: its row index, then its format and its negation's
+    lit_of = [(k, "%s", "-%s") for k in range(num_args)]
+    for k in range(num_args, const_base):
+        lit_of += ((k, "%s", "-%s"), (k, "-%s", "%s"))
+    fmt: list[str] = []
+    picks: list[int] = []
+    numbered: dict[int, int] = {}
+    for op, a, b in gates:
+        if op is Const:
+            if known >> a & 1:
+                g = const_base + a
+            elif a in numbered:
+                g = numbered[a]
+            else:
+                g = numbered[a] = fresh
+                fresh += 1
+                fmt.append("%s 0\n" if a else "-%s 0\n")
+                picks.append(g)
+        else:
+            x, xp, xn = lit_of[a]
+            y, yp, yn = lit_of[b]
+            g = fresh
+            fresh += 1
+            if op is And:  # g -> x, g -> y, x & y -> g
+                fmt.append(f"-%s {xp} 0\n-%s {yp} 0\n%s {xn} {yn} 0\n")
+                picks += (g, x, g, y, g, x, y)
+            else:  # x -> g, y -> g, g -> x | y
+                fmt.append(f"{xn} %s 0\n{yn} %s 0\n-%s {xp} {yp} 0\n")
+                picks += (x, g, y, g, g, x, y)
+        lit_of.append((g, "%s", "-%s"))
+    x, xp, xn = lit_of[out]
+    fmt.append(f"-%s {xp} 0\n%s {xn} 0\n")  # v <-> output
+    picks += (node, x, node, x)
+    m = fresh - node - 1
+    num_clauses = 2 + 3 * (m - len(numbered)) + len(numbered)
+    return itemgetter(*picks), "".join(fmt), num_clauses, m, tuple(numbered.items())
 
 
 def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
@@ -199,13 +332,16 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
     exactly when some parameter assignment makes that root evaluate to that
     bit.
 
-    Every node replays its equation's gate list, the one ``System`` compiles
-    once (see ``core._gate_list``), over literal slots: it takes a fresh
-    variable, fills the slots with its arguments' variables and the
-    parameter literals, gives each And/Or gate the next variable and its
-    three clauses, each constant gate the variable of its value (allocated
-    at its first use), and ties its own variable to the output slot with
-    two clauses.
+    Variables are numbered in node order: each reachable node takes the
+    next variable, then one per And/Or gate of its equation's gate list in
+    post-order.  A constant's one shared variable is numbered at its first
+    use, between those gates.  Each equation is compiled once per system
+    into a clause template (see ``_template``), keyed by the equation and
+    the set of constants that already have a variable, so the node that
+    first uses a constant applies a variant that numbers it.  A node then
+    costs one row of decimal texts, one ``itemgetter`` and one %-format,
+    which print its clauses as DIMACS text; the result stores that body as
+    its clauses.
     """
     qvar, qbit = query
     if not (type(qvar) is int and 0 <= qvar < system.n):
@@ -218,60 +354,55 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
     table = dag.table
     programs = system._programs
     num_params = len(system.param_names)
+    by_known = system._clause_templates
     node_map = {k + 1: f"param {name}" for k, name in enumerate(system.param_names)}
-    param_lits = [lit for k in range(1, num_params + 1) for lit in (k, -k)]
-    const_var: dict[int, int] = {}
-    clauses: list[tuple[int, ...]] = []
-    node_var = [0] * len(dag)
+    # the row's parameter variables, then those of the constants 0 and 1
+    fixed = [*map(_decimal, range(1, num_params + 1)), "", ""]
+    known = 0
+    templates = by_known.setdefault(known, [None] * system.n)
+    parts: list[str] = []
+    count = 1  # the query's unit clause
+    node_text = [""] * len(dag)
     num_vars = num_params
     for tid in dag.reachable():
         num_vars += 1
-        node_var[tid] = v = num_vars
         if tid <= TOP:
-            node_map[v] = f"term {tid} {table[tid]}"
-            clauses.append((v,) if tid == TOP else (-v,))
+            node_map[num_vars] = f"term {tid} {table[tid]}"
+            node_text[tid] = text = _decimal(num_vars)
+            parts.append((text if tid == TOP else "-" + text) + " 0\n")
+            count += 1
             continue
         func, ids = table[tid]
-        lits = [node_var[arg] for arg in ids]
-        node_map[v] = f"term {tid} {names[func]}"
-        gates, out = programs[func]
-        lits += param_lits
-        for op, a, b in gates:
-            if op is Const:
-                g = const_var.get(a)
-                if g is None:
-                    num_vars += 1
-                    g = const_var[a] = num_vars
-                    clauses.append((g,) if a else (-g,))
-                lits.append(g)
-            else:
-                x = lits[a]
-                y = lits[b]
-                num_vars += 1
-                if op is And:
-                    clauses += ((-num_vars, x), (-num_vars, y), (num_vars, -x, -y))
-                else:
-                    clauses += ((-x, num_vars), (-y, num_vars), (-num_vars, x, y))
-                lits.append(num_vars)
-        lit = lits[out]
-        clauses += ((-v, lit), (v, -lit))
+        node_map[num_vars] = f"term {tid} {names[func]}"
+        template = templates[func]
+        if template is None:
+            template = templates[func] = _template(programs[func], len(ids), num_params, known)
+        getter, fmt, num_clauses, m, numbered = template
+        row = [*map(node_text.__getitem__, ids), *fixed]
+        row += map(_decimal, range(num_vars, num_vars + m + 1))
+        node_text[tid] = row[-m - 1]
+        parts.append(fmt % getter(row))
+        count += num_clauses
+        num_vars += m
+        if numbered:
+            for c, index in numbered:
+                fixed[num_params + c] = row[index]
+                known |= 1 << c
+            templates = by_known.setdefault(known, [None] * system.n)
 
-    root = node_var[dag.roots[qvar]]
-    clauses.append((root,) if qbit else (-root,))
-    return CnfFormula._trusted(num_vars, tuple(clauses), node_map)
+    root = node_text[dag.roots[qvar]]
+    parts.append((root if qbit else "-" + root) + " 0\n")
+    return CnfFormula._trusted(num_vars, _Clauses("".join(parts), count), node_map)
 
 
 def write_dimacs(cnf: CnfFormula) -> str:
-    """Standard DIMACS text; the node map travels in ``c map`` comment lines."""
+    """Standard DIMACS text; the node map travels in ``c map`` comment lines.
+
+    The clause lines are the formula's stored body (see ``_Clauses``).
+    """
     lines = [f"c map {v} {note}" for v, note in sorted(cnf.node_map.items())]
     lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n")
-    # one %-format over every literal at once prints the same text as
-    # joining each clause, without building a string per clause; the
-    # format holds one shared piece per clause length
-    clauses = cnf.clauses
-    piece = ["%d " * k + "0\n" for k in range(max(map(len, clauses), default=0) + 1)]
-    body = "".join([piece[len(clause)] for clause in clauses])
-    return "\n".join(lines) + body % tuple(chain.from_iterable(clauses))
+    return "\n".join(lines) + cnf.clauses._body
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -303,16 +434,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         literals.extend(map(int, parts))
     if num_vars is None or num_clauses is None:
         raise ValueError("missing problem line")
-    clauses: list[tuple[int, ...]] = []
-    current: list[int] = []
-    for lit in literals:
-        if lit == 0:
-            clauses.append(tuple(current))
-            current = []
-        else:
-            current.append(lit)
-    if current:
-        raise ValueError("clause not terminated by 0")
+    clauses = _read_clauses(literals)
     if len(clauses) != num_clauses:
         raise ValueError(f"expected {num_clauses} clauses, found {len(clauses)}")
-    return CnfFormula(num_vars, tuple(clauses), node_map)
+    return CnfFormula(num_vars, clauses, node_map)

@@ -97,6 +97,36 @@ class TestSolve:
             assert captured.err == "error: input nested too deeply (recursion limit reached)\n"
 
 
+class TestRightNested:
+    """x = ?a | (?a | (... ?b ...)), 2000 levels: the parser takes it, and
+    every command that compiles the equation's gate list fails cleanly."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "right.bes"
+        path.write_text("x = " + "?a | (" * 1999 + "?b" + ")" * 1999 + ";\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--params", "a=0,b=1"],
+            ["build", "--form", "expanded", "--emit", "dimacs", "--query", "x=1"],
+        ],
+    )
+    def test_gate_list_is_a_clean_error(self, path, argv, capsys):
+        assert main([argv[0], path] + argv[1:]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input nested too deeply (recursion limit reached)\n"
+
+    def test_pruned_sexpr_is_rendered(self, path, capsys):
+        # the pruned form never compiles the gate list: one node, no arguments
+        assert main(["build", path, "--form", "pruned", "--emit", "sexpr"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "(x)\n" and captured.err == ""
+
+
 def _assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

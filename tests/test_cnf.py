@@ -2,10 +2,11 @@ import pytest
 
 from bes.cli import main
 from bes.core import decode_param_slice, greatest_fixpoint, kleene_lfp
-from bes.dag import build_expanded, build_pruned, eval_dag, with_top_leaves
+from bes.dag import TOP, build_expanded, build_pruned, eval_dag, with_top_leaves
 from bes.emit import CnfFormula, parse_dimacs, to_cnf, write_dimacs
 from bes.gen import gen_random_monotone
 from bes.text import format_system, parse_system
+from cnf_oracle import to_dimacs
 from dpll import solve
 
 
@@ -102,13 +103,13 @@ class TestToCnf:
 
     def test_result_passes_the_checked_constructor(self):
         # to_cnf builds its formula without the constructor's literal walk;
-        # rebuilding every result through the checked constructor must
-        # succeed and give an equal formula
+        # rebuilding every result from its clause tuples through the checked
+        # constructor must succeed and give an equal formula
         from test_emit import corpus
 
         def check(dag, s, query):
             cnf = to_cnf(dag, s, query)
-            assert CnfFormula(cnf.num_vars, cnf.clauses, cnf.node_map) == cnf
+            assert CnfFormula(cnf.num_vars, tuple(cnf.clauses), cnf.node_map) == cnf
 
         for s, dags in corpus():
             for dag in dags:
@@ -156,6 +157,127 @@ class TestToCnf:
             "-8 11 0\n8 -11 0\n"
             "4 0\n"
         )
+
+
+class TestCnfOracle:
+    """``write_dimacs(to_cnf(...))`` is the per-gate encoder's text, byte for byte."""
+
+    def check(self, s, dag, var):
+        for bit in (0, 1):
+            assert write_dimacs(to_cnf(dag, s, (var, bit))) == to_dimacs(dag, s, (var, bit))
+
+    def test_emitter_corpus(self):
+        # each system's clause templates are shared by its three DAGs and
+        # both query bits, in that order
+        from test_emit import corpus
+
+        for k, (s, dags) in enumerate(corpus()):
+            for dag in dags:
+                self.check(s, dag, k % s.n)
+
+    def test_random_systems(self):
+        for seed in range(300):
+            s = gen_random_monotone(seed % 8 + 1, seed % 4, 5, seed + 7000)
+            dag = build_pruned(s) if seed % 2 else build_expanded(s)
+            self.check(s, dag, seed % s.n)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a constant numbered between the gates of a node's equation
+            "x = y | ?p; y = z & ?q; z = x | 1;",
+            "x = ?p & y; y = x | ?q; z = (y & 0) | x;",
+            # one constant twice in one formula, numbered once
+            "x = (x & 1) | (?p & 1);",
+            "x = (y | 0) & (?p | 0) & 0; y = x | ?p;",
+            # both constants first used by one node, in either order
+            "x = (0 | ?p) & (1 & x);",
+            "x = (y & 1) | (0 & ?p) | y; y = ?q | x;",
+            # an equation that is a bare constant
+            "x = 1;",
+            "x = 0; y = x | ?p;",
+            "x = y & 1; y = 0;",
+            # no parameters
+            "x = y & z; y = x | z; z = y;",
+            "x = x | 1;",
+        ],
+    )
+    def test_hand_picked(self, text):
+        s = parse_system(text)
+        for var in range(s.n):
+            for dag in (
+                build_pruned(s),
+                build_expanded(s),
+                with_top_leaves(build_expanded(s, 1)),
+                with_top_leaves(build_expanded(s, 3)),
+            ):
+                self.check(s, dag, var)
+
+    def test_constant_first_used_mid_dag(self):
+        # z, the one equation with a constant, first applies after nodes of
+        # x and y, and nodes of x, y and w follow it
+        s = parse_system("x = y | ?p; y = x & ?q; z = y | 1; w = z & x;")
+        for dag in (build_pruned(s), build_expanded(s), with_top_leaves(build_expanded(s, 1))):
+            order = [s.var_names[dag.table[t][0]] for t in dag.reachable() if t > TOP]
+            assert 0 < order.index("z") < len(order) - 1
+            for var in range(s.n):
+                self.check(s, dag, var)
+
+
+class TestClauseView:
+    """``CnfFormula.clauses`` is a read-only view over the DIMACS body."""
+
+    S = "x = y & 0 | ?p; y = !?q & (x | 1);"
+
+    def formula(self):
+        s = parse_system(self.S)
+        return to_cnf(with_top_leaves(build_expanded(s, 2)), s, (0, 1))
+
+    def test_len_builds_no_tuples(self):
+        cnf = self.formula()
+        text = write_dimacs(cnf)
+        assert len(cnf.clauses) == int(text.split("p cnf ")[1].split()[1]) == 36
+        assert cnf.clauses._parsed is None
+        assert write_dimacs(cnf) == text and cnf.clauses._parsed is None
+
+    def test_reads_agree_with_parse_dimacs(self):
+        cnf = self.formula()
+        text = write_dimacs(cnf)
+        expected = tuple(parse_dimacs(text).clauses)
+        body = [line for line in text.splitlines() if line[0] not in "cp"]
+        assert expected == tuple(tuple(map(int, line.split()[:-1])) for line in body)
+        assert len(expected) == len(cnf.clauses)
+        assert list(cnf.clauses) == list(expected)
+        assert all(type(c) is tuple and all(type(lit) is int for lit in c) for c in cnf.clauses)
+        for i in (0, 5, len(expected) - 1, -1, -len(expected)):
+            assert cnf.clauses[i] == expected[i]
+        assert cnf.clauses[3:7] == expected[3:7]
+        with pytest.raises(IndexError):
+            cnf.clauses[len(expected)]
+        assert cnf.clauses == expected and expected == cnf.clauses
+        assert cnf.clauses != expected[:-1] and cnf.clauses != list(expected)
+        assert cnf.clauses == parse_dimacs(write_dimacs(cnf)).clauses
+        assert expected[2] in cnf.clauses and cnf.clauses.index(expected[2]) == 2
+        assert repr(cnf.clauses) == repr(expected)
+
+    def test_read_only(self):
+        cnf = self.formula()
+        with pytest.raises(TypeError):
+            cnf.clauses[0] = (1,)
+        with pytest.raises(TypeError):
+            hash(cnf.clauses)
+
+    def test_checked_constructor_takes_tuples_only(self):
+        # the view is not a tuple: the checked constructor refuses it, and
+        # takes the tuples it holds
+        cnf = self.formula()
+        with pytest.raises(ValueError, match="not a tuple"):
+            CnfFormula(cnf.num_vars, cnf.clauses, cnf.node_map)
+        rebuilt = CnfFormula(cnf.num_vars, tuple(cnf.clauses), cnf.node_map)
+        assert rebuilt == cnf and write_dimacs(rebuilt) == write_dimacs(cnf)
+        # another variable count, or one clause fewer, is another formula
+        assert CnfFormula(cnf.num_vars + 1, tuple(cnf.clauses), cnf.node_map) != cnf
+        assert CnfFormula(cnf.num_vars, tuple(cnf.clauses)[:-1], cnf.node_map) != cnf
 
 
 class TestGfpQuery:
