@@ -212,18 +212,26 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _arities(text: str) -> list[int]:
+    """``--n-list``: comma-separated decimal arities, read whole before any build."""
+    items = text.split(",")
+    if not all(item.strip().isdecimal() for item in items):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of arities")
+    return [int(item) for item in items]
+
+
 def _cmd_bench(args) -> int:
+    specs = [FamilySpec(args.family, n, args.seed, args.density) for n in args.n_list]
     rows = []
-    for n_text in args.n_list.split(","):
-        n = int(n_text)
-        system = gen_family(FamilySpec(args.family, n, args.seed, args.density))
+    for spec in specs:
+        system = gen_family(spec)
         t0 = time.perf_counter()
         pruned = build_pruned(system)
         t1 = time.perf_counter()
         expanded = build_expanded(system)
         t2 = time.perf_counter()
         rows.append(
-            (args.family, n)
+            (args.family, spec.n)
             + _stat_tuple(pruned)
             + (f"{t1 - t0:.6f}",)
             + _stat_tuple(expanded)
@@ -296,7 +304,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="size and build-time sweep over a family")
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--n-list", required=True, help="comma-separated arities")
+    p.add_argument("--n-list", type=_arities, required=True, help="comma-separated arities")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--csv", action="store_true")

@@ -168,20 +168,78 @@ class System:
         return tuple(map(tuple, readers))
 
     @cached_property
-    def _cones(self) -> tuple[int, ...]:
-        """For each variable, the bitmask of the variables reachable from it, itself included."""
+    def _sccs(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The strongly connected components of the support graph, an edge
+        running from each variable to each variable of its support.
+
+        Returns ``(components, component_of)``: each component's members,
+        ascending, with the components in reverse topological order (every
+        edge that leaves a component enters an earlier one), and each
+        variable's index into ``components``.  One iterative pass of
+        Tarjan's algorithm (SIAM J. Comput. 1972), so a long chain cannot
+        reach the recursion limit.
+        """
         supports = self._supports
-        cones: list[int] = []
-        for start in range(self.n):
-            seen = 1 << start
-            stack = [start]
-            while stack:
-                for w in supports[stack.pop()]:
-                    if not seen >> w & 1:
-                        seen |= 1 << w
-                        stack.append(w)
-            cones.append(seen)
-        return tuple(cones)
+        n = self.n
+        number = [0] * n  # depth-first number from 1; 0 while unvisited
+        low = [0] * n
+        component_of = [-1] * n  # -1 until a component is closed
+        components: list[tuple[int, ...]] = []
+        path: list[int] = []
+        count = 0
+        for start in range(n):
+            if number[start]:
+                continue
+            count += 1
+            number[start] = low[start] = count
+            path.append(start)
+            work = [(start, iter(supports[start]))]
+            while work:
+                v, edges = work[-1]
+                for w in edges:
+                    if not number[w]:
+                        count += 1
+                        number[w] = low[w] = count
+                        path.append(w)
+                        work.append((w, iter(supports[w])))
+                        break
+                    if component_of[w] < 0 and number[w] < low[v]:
+                        low[v] = number[w]  # w is on the path, below v
+                else:
+                    work.pop()
+                    if low[v] == number[v]:
+                        at = len(path) - 1
+                        while path[at] != v:
+                            at -= 1
+                        members = path[at:]
+                        del path[at:]
+                        for w in members:
+                            component_of[w] = len(components)
+                        members.sort()
+                        components.append(tuple(members))
+                    elif low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
+        return tuple(components), tuple(component_of)
+
+    @cached_property
+    def _cones(self) -> tuple[int, ...]:
+        """For each variable, the bitmask of the variables reachable from it, itself included.
+
+        Read off ``_sccs``: a component's cone is its members OR the cones of
+        the components its edges enter, which come earlier, so one OR per
+        edge.  An edge inside the component ORs the 0 not yet replaced.
+        """
+        components, component_of = self._sccs
+        supports = self._supports
+        cones = [0] * len(components)
+        for c, members in enumerate(components):
+            cone = 0
+            for v in members:
+                cone |= 1 << v
+                for w in supports[v]:
+                    cone |= cones[component_of[w]]
+            cones[c] = cone
+        return tuple([cones[c] for c in component_of])
 
     @cached_property
     def _programs(self) -> tuple[_Program, ...]:
@@ -253,11 +311,16 @@ def _run(program: _Program, slots: list[int], ones: int) -> int:
 
 
 def _check_params(system: System, p: ParamAssignment, ones: int) -> None:
-    """Refuse a parameter tuple that does not give one bit, or one mask no
-    wider than ``ones``, per parameter."""
+    """Refuse a lane mask ``ones`` that is not an int 2**w - 1 with w >= 1,
+    and a parameter tuple that does not give one int, a mask no wider than
+    ``ones``, per parameter.  A bool is not an int here."""
+    if not (type(ones) is int and ones > 0 and not ones & (ones + 1)):
+        raise ValueError(f"lane mask {ones!r} is not an int of the form 2**w - 1 with w >= 1")
     if len(p) != system.num_params:
         raise ValueError(f"expected {system.num_params} parameter bits, got {len(p)}")
     for bits in p:
+        if type(bits) is not int:
+            raise ValueError(f"parameter bits {bits!r} are not an int")
         if bits | ones != ones:
             raise ValueError(
                 f"parameter bits {bits:#x} lie outside the {ones.bit_length()}-bit mask"

@@ -67,6 +67,7 @@ class TermDag:
         self._nodes: list[tuple[int, tuple[int, ...]] | str] = ["bot", "top"]
         self._index: dict[tuple[int, tuple[int, ...]], int] = {}
         self._roots: tuple[int, ...] | None = None
+        self._reached: tuple[int, ...] | None = None
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -77,7 +78,13 @@ class TermDag:
         return self._nodes
 
     def node(self, tid: int) -> Apply | str:
-        """The leaf's name, or the application with each id beside its variable."""
+        """The leaf's name, or the application with each id beside its variable.
+
+        Refuses an id that is not an int (a bool included) in
+        ``range(len(self))``, as ``apply`` refuses an argument id.
+        """
+        if not (type(tid) is int and 0 <= tid < len(self._nodes)):
+            raise ValueError(f"id {tid!r} is not the id of a node in the table")
         node = self._nodes[tid]
         if tid <= TOP:
             return node
@@ -143,17 +150,26 @@ class TermDag:
         """Ids reachable from the roots, ascending (hence topologically sorted).
 
         One sweep down the table: a node is marked before the sweep reaches
-        it, since its readers all have higher ids.
+        it, since its readers all have higher ids.  A frozen table never
+        changes, so the sweep runs once per DAG; each call returns a fresh
+        list of the kept ids.
         """
-        nodes = self._nodes
-        marks = bytearray(len(nodes))
-        for root in self.roots:
-            marks[root] = 1
-        for tid in range(len(nodes) - 1, 1, -1):
-            if marks[tid]:
-                for arg in nodes[tid][1]:
-                    marks[arg] = 1
-        return list(compress(range(len(nodes)), marks))
+        roots = self.roots
+        if self._reached is None:
+            nodes = self._nodes
+            marks = bytearray(len(nodes))
+            for root in roots:
+                marks[root] = 1
+            for tid in range(len(nodes) - 1, 1, -1):
+                if marks[tid]:
+                    for arg in nodes[tid][1]:
+                        marks[arg] = 1
+            # the ids as the index holds them, in table order, so the kept
+            # tuple shares the table's int objects instead of making more
+            self._reached = (
+                *compress((BOTTOM, TOP), marks), *compress(self._index.values(), marks[2:])
+            )
+        return list(self._reached)
 
 
 class PrunedBuilder:
@@ -172,17 +188,28 @@ class PrunedBuilder:
         self._key_sets = system._cones if canonical_keys else (-1,) * system.n
 
     def term(self, masked: int, i: int) -> int:
-        """Id of the subterm for equation i under the masked set ``masked``."""
+        """Id of the subterm for equation i under the masked set ``masked``.
+
+        A child that is masked (bottom) or already in the memo is resolved
+        in the child loop, so the recursion enters ``term`` only on a memo
+        miss.  A memoized id is an application's, 2 or more, so never false.
+        """
         bit = 1 << i
         if masked & bit:
             return BOTTOM
-        key = (i, masked & self._key_sets[i])
-        tid = self._memo.get(key)
+        key_sets = self._key_sets
+        memo = self._memo
+        key = (i, masked & key_sets[i])
+        tid = memo.get(key)
         if tid is None:
             inner = masked | bit
-            ids = tuple([self.term(inner, j) for j in self.dag.supports[i]])
+            ids = tuple([
+                BOTTOM if inner >> j & 1
+                else memo.get((j, inner & key_sets[j])) or self.term(inner, j)
+                for j in self.dag.supports[i]
+            ])
             tid = self.dag._intern(i, ids)
-            self._memo[key] = tid
+            memo[key] = tid
         return tid
 
 

@@ -365,6 +365,28 @@ class TestBench:
         assert first[0] == "chain" and first[1] == "2"
         assert first[2] == "4"  # pruned applications at n=2
 
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        import bes.cli
+
+        def build(system):
+            raise AssertionError("built before every arity was read and checked")
+
+        monkeypatch.setattr(bes.cli, "build_pruned", build)
+
+    @pytest.mark.parametrize("n_list", ["4,x", "4,,6", "4,", "4.0", "-2", ""])
+    def test_malformed_list_is_a_usage_error_before_any_build(self, n_list, capsys, no_build):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--family", "chain", "--n-list", n_list])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --n-list:" in captured.err and "Traceback" not in captured.err
+
+    def test_arity_a_family_refuses_fails_before_any_build(self, capsys, no_build):
+        assert main(["bench", "--family", "chain", "--n-list", "4,3"]) == 3
+        assert capsys.readouterr().err == "error: chain needs an even arity of at least 2\n"
+
 
 class TestCounterexampleDump:
     def test_dump_is_replayable(self, tmp_path, monkeypatch):

@@ -223,7 +223,7 @@ class TestParameterLength:
             "node_values": lambda: node_values(build_pruned(s), s, p, ones),
             "eval_dag": lambda: eval_dag(build_expanded(s), s, p, ones),
         }
-        if ones == 1:
+        if ones == 1 and type(ones) is int:  # it takes no mask, so not True or 1.0
             calls["greatest_fixpoint"] = lambda: greatest_fixpoint(s, p)
         return calls
 
@@ -257,6 +257,38 @@ class TestParameterLength:
         for call in self.entry_points(s, (masks[0], masks[1] | (ones + 1)), ones).values():
             with pytest.raises(ValueError, match="outside the 4-bit mask"):
                 call()
+
+    @pytest.mark.parametrize("ones", [-1, 0, 2, 6, 12, True, 1.0, 3.0, None])
+    def test_lane_mask_not_all_ones_rejected(self, ones):
+        # -1 once gave x = -1, and 6 gave x = 6 with a wrong "3-bit mask" message
+        s = parse_system("x = y | !?a; y = x & ?b;")
+        for call in self.entry_points(s, (0, 0), ones).values():
+            with pytest.raises(ValueError, match="lane mask"):
+                call()
+
+    def test_lane_masks_of_every_width_accepted(self):
+        s = parse_system("x = y | !?a; y = x & ?b;")
+        for width in (1, 2, 7, 64, 65):
+            ones = (1 << width) - 1
+            assert kleene_lfp(s, (0, 0), ones) == ((ones, 0), 1)
+            for call in self.entry_points(s, (0, ones), ones).values():
+                call()
+
+    @pytest.mark.parametrize("bits", [True, False, 1.0, 0.0, "1", None])
+    def test_parameter_bits_that_are_not_ints_rejected(self, bits):
+        s = parse_system("x = ?p & y; y = x | ?q;")
+        for ones in (1, 0b11):
+            for call in self.entry_points(s, (0, bits), ones).values():
+                with pytest.raises(ValueError, match="not an int"):
+                    call()
+        with pytest.raises(ValueError, match="not an int"):
+            props.check_all(s, (0, bits))
+
+    def test_check_all_refuses_bits_outside_one_lane(self):
+        s = parse_system("x = ?p & y; y = x | ?q;")
+        with pytest.raises(ValueError, match="outside the 1-bit mask"):
+            props.check_all(s, (0, 2))
+        assert props.check_all(s, (0, 1)) == dict.fromkeys(props.SUITES)
 
     def test_parameter_free_system_takes_the_empty_tuple(self):
         s = parse_system("x = y; y = x | 1;")

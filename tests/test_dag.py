@@ -19,6 +19,7 @@ from bes.gen import FamilySpec, gen_family, gen_random_monotone
 from bes.props import SUITES
 from bes.text import parse_system
 from formula_oracle import eval_formula
+from pruned_oracle import PrunedOracle, dfs_cones
 
 
 def systems(max_n=5, max_params=2, max_depth=4):
@@ -202,6 +203,94 @@ class TestPruned:
                 assert _same_terms(canonical, reference), pattern
 
 
+def oracle_shapes():
+    """Random systems, every family at small n, and the cycles and paths the
+    key restriction is most sensitive to."""
+    shapes = [
+        gen_random_monotone(n, p, d, seed)
+        for n in range(1, 9) for p in (0, 2) for d in (1, 4) for seed in range(6)
+    ]
+    shapes += [gen_family(FamilySpec("chain", n)) for n in (2, 4, 6, 8)]
+    shapes += [gen_family(FamilySpec("complete", n)) for n in range(1, 7)]
+    shapes += [gen_family(FamilySpec("sparse3", 3))]
+    shapes += [gen_family(FamilySpec("random", n, seed, 0.3)) for n in (5, 8) for seed in range(4)]
+    shapes += [
+        parse_system("a = b; b = c; c = a | d; d = 1;"),
+        parse_system("a = a | b; b = a & b; c = c | d; d = c & d;"),
+        parse_system(" ".join(f"c{i} = c{(i + 1) % 9};" for i in range(9))),
+    ]
+    return shapes
+
+
+def same_build(builder, oracle):
+    """Equal tables, and equal memos with their entries in the same order."""
+    assert builder.dag.table == oracle.dag.table
+    assert list(builder._memo.items()) == list(oracle._memo.items())
+
+
+class TestBuilderOracle:
+    """``PrunedBuilder`` against the builder that recurses on every child."""
+
+    def test_roots_tables_and_memos_equal_the_oracle(self):
+        for s in oracle_shapes():
+            for canonical in (True, False):
+                builder = PrunedBuilder(s, canonical_keys=canonical)
+                oracle = PrunedOracle(s, canonical_keys=canonical)
+                roots = [builder.term(0, i) for i in range(s.n)]
+                assert roots == [oracle.term(0, i) for i in range(s.n)], s
+                same_build(builder, oracle)
+
+    def test_every_masked_set_as_the_rows_build_them(self):
+        # props._Pass.rows asks for term(S, i) for every masked set S
+        for s in oracle_shapes():
+            if s.n > 6:
+                continue
+            for canonical in (True, False):
+                builder = PrunedBuilder(s, canonical_keys=canonical)
+                oracle = PrunedOracle(s, canonical_keys=canonical)
+                for mask in range(1 << s.n):
+                    for i in range(s.n):
+                        assert builder.term(mask, i) == oracle.term(mask, i), (s, mask, i)
+                same_build(builder, oracle)
+
+    def test_build_functions_equal_the_oracle(self):
+        for s in oracle_shapes():
+            for build, canonical in ((build_pruned, True), (build_pruned_reference, False)):
+                dag = build(s)
+                oracle = PrunedOracle(s, canonical_keys=canonical)
+                roots = tuple(oracle.term(0, i) for i in range(s.n))
+                assert dag.table == oracle.dag.table and dag.roots == roots, s
+
+    def test_term_is_entered_once_per_memo_miss(self, monkeypatch):
+        entered = []
+        real = PrunedBuilder.term
+        monkeypatch.setattr(
+            PrunedBuilder, "term", lambda b, masked, i: entered.append(i) or real(b, masked, i)
+        )
+        for s in oracle_shapes():
+            for canonical in (True, False):
+                builder = PrunedBuilder(s, canonical_keys=canonical)
+                for mask in (0, 1, (1 << s.n) - 2):
+                    for i in range(s.n):
+                        key = (i, mask & builder._key_sets[i])
+                        miss = not mask >> i & 1 and key not in builder._memo
+                        before, entered[:] = len(builder._memo), []
+                        builder.term(mask, i)
+                        # the outside call, then one call per node the memo gained
+                        assert len(entered) == (len(builder._memo) - before) + (not miss)
+
+    def test_complete_system_calls_equal_its_nodes(self, monkeypatch):
+        # every root of complete-n is a miss, so build_pruned enters term
+        # once per application: n * 2^(n-1) times
+        calls = []
+        real = PrunedBuilder.term
+        monkeypatch.setattr(
+            PrunedBuilder, "term", lambda b, masked, i: calls.append(i) or real(b, masked, i)
+        )
+        dag = build_pruned(gen_family(FamilySpec("complete", 8)))
+        assert len(calls) == len(dag) - 2 == 8 * 2**7
+
+
 class TestTrustedInterning:
     def test_builder_tables_equal_a_replay_through_apply(self):
         # the builders intern their nodes without apply's checks; replaying
@@ -266,6 +355,63 @@ def closure_cones(system):
     )
 
 
+def brute_force_components(system):
+    """Oracle: the classes of mutual reachability, from Warshall's closure."""
+    cones = closure_cones(system)
+    return {
+        frozenset(j for j in range(system.n) if cones[i] >> j & 1 and cones[j] >> i & 1)
+        for i in range(system.n)
+    }
+
+
+def check_components(system):
+    components, component_of = system._sccs
+    assert set(map(frozenset, components)) == brute_force_components(system), system
+    assert len(components) == len(set(map(frozenset, components)))
+    for c, members in enumerate(components):
+        assert list(members) == sorted(members)
+        assert all(component_of[v] == c for v in members)
+    assert len(component_of) == system.n
+    # reverse topological: an edge leaving a component enters an earlier one
+    for v, supp in enumerate(system._supports):
+        assert all(component_of[w] <= component_of[v] for w in supp)
+
+
+class TestComponents:
+    def test_components_equal_mutual_reachability(self):
+        from test_emit import corpus
+
+        shapes = [s for s, _ in corpus()] + oracle_shapes() + [
+            parse_system("x = x;"),
+            parse_system("x = y; y = 1;"),
+            parse_system("a = a & b; b = c; c = b | d; d = d; e = a | e;"),
+            parse_system("u = v; v = w; w = u; s = t | u; t = s & ?p;"),
+            *(gen_random_monotone(n, 1, 3, seed) for n in (12, 20, 30) for seed in range(10)),
+        ]
+        for s in shapes:
+            check_components(s)
+
+    def test_self_loops_and_singletons_without_one(self):
+        # x reads itself, y reads nothing, z reads only y: three singletons
+        s = parse_system("x = x | z; y = 1; z = y;")
+        components, component_of = s._sccs
+        assert components == ((1,), (2,), (0,))
+        assert component_of == (2, 0, 1)
+        assert s._cones == (0b111, 0b010, 0b110)
+
+    def test_long_path_and_long_cycle_need_no_recursion(self):
+        n = 3000
+        path = parse_system(" ".join(f"x{i} = x{i + 1};" for i in range(n - 1)) + f" x{n - 1} = 1;")
+        components, component_of = path._sccs
+        assert components == tuple((i,) for i in reversed(range(n)))
+        assert component_of == tuple(reversed(range(n)))
+        everything = (1 << n) - 1
+        assert path._cones == tuple(everything ^ ((1 << i) - 1) for i in range(n))
+        cycle = parse_system(" ".join(f"c{i} = c{(i + 1) % n};" for i in range(n)))
+        assert cycle._sccs == ((tuple(range(n)),), (0,) * n)
+        assert cycle._cones == (everything,) * n
+
+
 class TestCones:
     def test_cones_equal_the_transitive_closure(self):
         from test_emit import corpus
@@ -278,6 +424,8 @@ class TestCones:
         ]
         for s in shapes:
             assert s._cones == closure_cones(s), s
+        for s in oracle_shapes():
+            assert s._cones == closure_cones(s) == dfs_cones(s), s
 
     def test_one_cone_table_per_system(self):
         # every builder of one system reads the cones computed by the first
@@ -550,6 +698,39 @@ class TestFrozenDiscipline:
                 emit(dag, s)
         with pytest.raises(RuntimeError):
             to_cnf(dag, s, (0, 1))
+
+    def test_reachable_is_swept_once_and_handed_out_as_fresh_lists(self, monkeypatch):
+        import itertools
+
+        import bes.dag
+        from bes.dag import TermDag
+
+        s = parse_system("x = y | 1; y = x & y; z = z;")
+        dag = TermDag(s.supports())
+        with pytest.raises(RuntimeError):
+            dag.reachable()
+        dag = build_pruned(s)
+        sweeps = []
+        real = itertools.compress
+        monkeypatch.setattr(bes.dag, "compress", lambda *a: sweeps.append(1) or real(*a))
+        first = dag.reachable()
+        swept = len(sweeps)
+        first.append(99)
+        first[0] = -5
+        second = dag.reachable()
+        assert second == [BOTTOM, 2, 3, 4, 5, 6] and second is not first  # top is unused
+        assert dag.reachable() == second and dag.reachable() is not second
+        assert len(sweeps) == swept > 0  # the later calls read the kept ids
+
+    def test_node_refuses_an_id_outside_the_table(self):
+        from bes.dag import TermDag
+
+        dag = TermDag([(0,)])
+        tid = dag.apply(0, (BOTTOM,))
+        for bad in (-1, -3, tid + 1, 10**9, True, False, 1.0, "2", None):
+            with pytest.raises(ValueError, match="not the id of a node"):
+                dag.node(bad)
+        assert [dag.node(t) for t in range(len(dag))] == ["bot", "top", Apply(0, ((0, BOTTOM),))]
 
     def test_equal_applications_share_one_node(self):
         from bes.dag import TermDag
