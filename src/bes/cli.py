@@ -220,6 +220,13 @@ def _arities(text: str) -> list[int]:
     return [int(item) for item in items]
 
 
+def _tree_size(text: str) -> int:
+    """``--max-tree-size``: a nonnegative decimal count of nodes."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative count of nodes")
+    return int(text)
+
+
 def _cmd_bench(args) -> int:
     specs = [FamilySpec(args.family, n, args.seed, args.density) for n in args.n_list]
     rows = []
@@ -276,7 +283,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", choices=("let", "sexpr", "dot", "dimacs"), required=True)
     p.add_argument("--query", help="var=bit assertion for dimacs output")
     p.add_argument("--gfp", action="store_true")
-    p.add_argument("--max-tree-size", type=int, default=DEFAULT_TREE_SIZE_LIMIT)
+    p.add_argument("--max-tree-size", type=_tree_size, default=DEFAULT_TREE_SIZE_LIMIT)
     p.add_argument("-o", "--out")
     p.set_defaults(fn=_cmd_build)
 

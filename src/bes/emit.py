@@ -8,14 +8,16 @@ is refused with the RuntimeError that ``TermDag.roots`` raises.  The CNF
 emitter performs a Tseitin encoding whose satisfiability, for a DAG that is
 a closed form of the least fixpoint, matches the existence of a parameter
 assignment giving the queried fixpoint coordinate the queried bit.  It
-prints each node's clauses straight to DIMACS text from a clause template
-compiled once per equation, and ``CnfFormula`` keeps that text, with its
-``clauses`` a read-only view over it.
+prints each node's ``c map`` line and clauses straight to DIMACS text, the
+clauses from a clause template compiled once per equation shape, and joins
+the formula's whole text once.  ``CnfFormula`` keeps that text, which
+``write_dimacs`` returns, with its ``clauses`` and ``node_map`` read-only
+views over it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -95,9 +97,12 @@ def to_sexpr(
 
     The unshared tree can be exponentially larger than the DAG, so the
     emitter first computes its exact size and raises TreeSizeLimitError
-    beyond ``max_tree_size``.  A single-equation system prints its root
-    alone; otherwise the roots form one parenthesized tuple.
+    beyond ``max_tree_size``, which must be a nonnegative int (a bool is
+    not one here).  A single-equation system prints its root alone;
+    otherwise the roots form one parenthesized tuple.
     """
+    if type(max_tree_size) is not int or max_tree_size < 0:
+        raise ValueError(f"tree size limit {max_tree_size!r} is not a nonnegative int")
     _check_layout(dag, system)
     stats = dag_stats(dag)
     if stats.tree_size > max_tree_size:
@@ -139,25 +144,30 @@ def to_dot(dag: TermDag, system: System) -> str:
 
 
 class _Clauses(Sequence):
-    """Read-only view of a formula's clauses over their DIMACS body.
+    """Read-only view of a formula's clauses over its DIMACS text.
 
-    The body holds one ``lit lit ... 0`` line per clause, as ``write_dimacs``
-    prints it.  ``len`` reads the stored count; iteration, indexing and
-    comparison with a tuple read the body once, with the clause reader that
-    ``parse_dimacs`` uses, into a tuple of int tuples and keep it.  Two views
-    are equal exactly when their bodies are, since one format prints both.
+    The clause lines, one ``lit lit ... 0`` line per clause as
+    ``write_dimacs`` prints them, run from offset ``start`` to the end of
+    the text.  ``len`` reads the stored count; iteration, indexing and
+    comparison with a tuple read the lines once, with the clause reader
+    that ``parse_dimacs`` uses, into a tuple of int tuples and keep it.  Two
+    views are equal exactly when their lines are, since one format prints
+    both.
     """
 
-    __slots__ = ("_body", "_count", "_parsed")
+    __slots__ = ("_text", "_start", "_count", "_parsed")
 
-    def __init__(self, body: str, count: int, parsed: tuple[tuple[int, ...], ...] | None = None):
-        self._body = body
+    def __init__(
+        self, text: str, start: int, count: int, parsed: tuple[tuple[int, ...], ...] | None = None
+    ):
+        self._text = text
+        self._start = start
         self._count = count
         self._parsed = parsed
 
     def _tuples(self) -> tuple[tuple[int, ...], ...]:
         if self._parsed is None:
-            self._parsed = _read_clauses(list(map(int, self._body.split())))
+            self._parsed = _read_clauses(list(map(int, self._text[self._start:].split())))
         return self._parsed
 
     def __len__(self) -> int:
@@ -171,13 +181,54 @@ class _Clauses(Sequence):
 
     def __eq__(self, other) -> bool:
         if type(other) is _Clauses:
-            return self._body == other._body
+            return self._text[self._start:] == other._text[other._start:]
         if type(other) is tuple:
             return self._tuples() == other
         return NotImplemented
 
     def __repr__(self) -> str:
         return repr(self._tuples())
+
+
+class _NodeMap(Mapping):
+    """Read-only view of a formula's node map over its ``c map`` lines.
+
+    The lines open the formula's DIMACS text and run to offset ``end``, one
+    ``c map VAR NOTE`` line per variable in ascending order.  Reading the
+    map parses them once into a dict and keeps it, which leaves the clause
+    lines unread.  Two views are equal exactly when their lines are; a view
+    equals a dict with the same items.
+    """
+
+    __slots__ = ("_text", "_end", "_parsed")
+
+    def __init__(self, text: str, end: int):
+        self._text = text
+        self._end = end
+        self._parsed: dict[int, str] | None = None
+
+    def _dict(self) -> dict[int, str]:
+        if self._parsed is None:
+            lines = self._text[: self._end].splitlines()
+            self._parsed = {int(v): note for _, _, v, note in (line.split(" ", 3) for line in lines)}
+        return self._parsed
+
+    def __getitem__(self, v: int) -> str:
+        return self._dict()[v]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self._dict())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is _NodeMap:
+            return self._text[: self._end] == other._text[: other._end]
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
 
 
 def _read_clauses(literals: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -199,24 +250,27 @@ def _read_clauses(literals: list[int]) -> tuple[tuple[int, ...], ...]:
 class CnfFormula:
     """Clauses in DIMACS convention plus a variable-to-meaning map.
 
-    ``clauses`` is a read-only sequence view (``_Clauses``) over the DIMACS
-    body that ``write_dimacs`` prints: its length costs nothing, and it
-    reads its clause tuples from the body on first iteration or indexing.
+    A formula holds its whole DIMACS text, the one ``write_dimacs`` returns:
+    its ``c map`` lines in ascending variable order, the ``p cnf`` header
+    and its clause lines.  ``clauses`` (``_Clauses``) and ``node_map``
+    (``_NodeMap``) are read-only views over that text.  The clause count
+    costs nothing, and each view parses its own lines on first read.
 
-    The constructor takes the clauses as a tuple of tuples and refuses a
-    variable count that is not a nonnegative int, clauses that are not a
-    tuple of nonempty tuples of int literals in range (bools are not ints
-    here), and a node map that is not a dict from variables 1..num_vars to
-    notes of one nonblank line without outer whitespace, since
-    ``write_dimacs`` could not print any other map for ``parse_dimacs`` to
-    read back.  ``to_cnf`` numbers every literal in range itself, writes
-    well-formed notes and prints its body directly, so it builds its result
+    The constructor takes the clauses as a tuple of tuples and the node map
+    as a dict or another formula's ``node_map``.  It refuses a variable
+    count that is not a nonnegative int, clauses that are not a tuple of
+    nonempty tuples of int literals in range (bools are not ints here), and
+    a node map that is not a dict from variables 1..num_vars to notes of one
+    nonblank line without outer whitespace, since ``write_dimacs`` could not
+    print any other map for ``parse_dimacs`` to read back.  It then renders
+    the text once.  ``to_cnf`` numbers every literal in range itself, writes
+    well-formed notes and prints its lines directly, so it builds its result
     with ``_trusted``, which skips these walks.
     """
 
     num_vars: int
     clauses: Sequence[tuple[int, ...]]
-    node_map: dict[int, str] = field(default_factory=dict)
+    node_map: Mapping[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         num_vars = self.num_vars
@@ -237,28 +291,55 @@ class CnfFormula:
                     raise ValueError(
                         f"literal {lit!r} is not a nonzero int between -{num_vars} and {num_vars}"
                     )
-        if type(self.node_map) is not dict:
-            raise ValueError(f"node map {self.node_map!r} is not a dict")
-        for v, note in self.node_map.items():
+        node_map = self.node_map
+        if type(node_map) is _NodeMap:
+            node_map = node_map._dict()
+        elif type(node_map) is not dict:
+            raise ValueError(f"node map {node_map!r} is not a dict")
+        for v, note in node_map.items():
             if type(v) is not int or not 1 <= v <= num_vars:
                 raise ValueError(f"node map key {v!r} is not an int between 1 and {num_vars}")
             if type(note) is not str or note.strip() != note or note.splitlines() != [note]:
                 raise ValueError(
                     f"node map note {note!r} is not one nonblank line without outer whitespace"
                 )
+        map_lines = [f"c map {v} {note}\n" for v, note in sorted(node_map.items())]
         fmt = "".join(["%d " * len(clause) + "0\n" for clause in clauses])
-        body = fmt % tuple(chain.from_iterable(clauses))
-        object.__setattr__(self, "clauses", _Clauses(body, len(clauses), clauses))
+        self._store(map_lines, [fmt % tuple(chain.from_iterable(clauses))], len(clauses), clauses)
 
     @classmethod
-    def _trusted(cls, num_vars: int, clauses: _Clauses, node_map: dict[int, str]) -> "CnfFormula":
+    def _trusted(
+        cls, num_vars: int, map_lines: list[str], clause_lines: list[str], count: int
+    ) -> "CnfFormula":
         """The formula without the constructor's checks, for input that
-        meets them by construction."""
+        meets them by construction (see ``_store``)."""
         cnf = object.__new__(cls)
         object.__setattr__(cnf, "num_vars", num_vars)
-        object.__setattr__(cnf, "clauses", clauses)
-        object.__setattr__(cnf, "node_map", node_map)
+        cnf._store(map_lines, clause_lines, count)
         return cnf
+
+    def _store(
+        self,
+        map_lines: list[str],
+        clause_lines: list[str],
+        count: int,
+        clauses: tuple[tuple[int, ...], ...] | None = None,
+    ) -> None:
+        """Join the formula's text and set its views over it.
+
+        ``map_lines`` are the ``c map`` lines in ascending variable order and
+        ``clause_lines`` the texts of ``count`` clause lines, each ending in
+        a newline; ``clauses``, if given, are their tuples.  Extends
+        ``map_lines`` in place.
+        """
+        map_end = sum(map(len, map_lines))
+        header = f"p cnf {self.num_vars} {count}\n"
+        map_lines.append(header)
+        map_lines += clause_lines
+        text = "".join(map_lines)
+        object.__setattr__(self, "_text", text)
+        object.__setattr__(self, "clauses", _Clauses(text, map_end + len(header), count, clauses))
+        object.__setattr__(self, "node_map", _NodeMap(text, map_end))
 
 
 # A clause template prints the clauses of one node that applies an equation.
@@ -335,13 +416,14 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
     Variables are numbered in node order: each reachable node takes the
     next variable, then one per And/Or gate of its equation's gate list in
     post-order.  A constant's one shared variable is numbered at its first
-    use, between those gates.  Each equation is compiled once per system
-    into a clause template (see ``_template``), keyed by the equation and
-    the set of constants that already have a variable, so the node that
+    use, between those gates.  Each equation shape (``System._shapes``) is
+    compiled once per system into a clause template (see ``_template``) for
+    each set of constants that already have a variable, so the node that
     first uses a constant applies a variant that numbers it.  A node then
     costs one row of decimal texts, one ``itemgetter`` and one %-format,
-    which print its clauses as DIMACS text; the result stores that body as
-    its clauses.
+    which print its clauses as DIMACS text, and one f-string for its
+    ``c map`` line.  The map lines, the header and the clause lines are
+    joined once, into the text the result holds.
     """
     qvar, qbit = query
     if not (type(qvar) is int and 0 <= qvar < system.n):
@@ -353,9 +435,10 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
     names = system.var_names
     table = dag.table
     programs = system._programs
+    shapes = system._shapes
     num_params = len(system.param_names)
     by_known = system._clause_templates
-    node_map = {k + 1: f"param {name}" for k, name in enumerate(system.param_names)}
+    maps = [f"c map {k} param {name}\n" for k, name in enumerate(system.param_names, 1)]
     # the row's parameter variables, then those of the constants 0 and 1
     fixed = [*map(_decimal, range(1, num_params + 1)), "", ""]
     known = 0
@@ -367,20 +450,22 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
     for tid in dag.reachable():
         num_vars += 1
         if tid <= TOP:
-            node_map[num_vars] = f"term {tid} {table[tid]}"
-            node_text[tid] = text = _decimal(num_vars)
-            parts.append((text if tid == TOP else "-" + text) + " 0\n")
+            node_text[tid] = v = _decimal(num_vars)
+            maps.append(f"c map {v} term {tid} {table[tid]}\n")
+            parts.append((v if tid == TOP else "-" + v) + " 0\n")
             count += 1
             continue
         func, ids = table[tid]
-        node_map[num_vars] = f"term {tid} {names[func]}"
         template = templates[func]
         if template is None:
-            template = templates[func] = _template(programs[func], len(ids), num_params, known)
+            template = _template(programs[func], len(ids), num_params, known)
+            for peer in shapes[func]:
+                templates[peer] = template
         getter, fmt, num_clauses, m, numbered = template
         row = [*map(node_text.__getitem__, ids), *fixed]
         row += map(_decimal, range(num_vars, num_vars + m + 1))
-        node_text[tid] = row[-m - 1]
+        node_text[tid] = v = row[-m - 1]
+        maps.append(f"c map {v} term {tid} {names[func]}\n")
         parts.append(fmt % getter(row))
         count += num_clauses
         num_vars += m
@@ -392,21 +477,33 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
 
     root = node_text[dag.roots[qvar]]
     parts.append((root if qbit else "-" + root) + " 0\n")
-    return CnfFormula._trusted(num_vars, _Clauses("".join(parts), count), node_map)
+    return CnfFormula._trusted(num_vars, maps, parts, count)
 
 
 def write_dimacs(cnf: CnfFormula) -> str:
     """Standard DIMACS text; the node map travels in ``c map`` comment lines.
 
-    The clause lines are the formula's stored body (see ``_Clauses``).
+    This is the text the formula holds (see ``CnfFormula``), returned
+    itself, not a copy.
     """
-    lines = [f"c map {v} {note}" for v, note in sorted(cnf.node_map.items())]
-    lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n")
-    return "\n".join(lines) + cnf.clauses._body
+    return cnf._text
+
+
+def _int(token: str, line: str) -> int:
+    """One token of a DIMACS line as an int, or a ValueError that names the line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{token!r} is not an int, in line {line!r}") from None
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Inverse of write_dimacs; unknown comment lines are ignored."""
+    """Inverse of write_dimacs; unknown comment lines are ignored.
+
+    Refuses, with ValueError, a token that is not an int in a clause line, a
+    problem line or as a map key, and a second ``c map`` line for one
+    variable.
+    """
     node_map: dict[int, str] = {}
     num_vars = None
     num_clauses = None
@@ -418,7 +515,10 @@ def parse_dimacs(text: str) -> CnfFormula:
         if line.startswith("c"):
             parts = line.split(maxsplit=3)
             if len(parts) == 4 and parts[1] == "map":
-                node_map[int(parts[2])] = parts[3]
+                v = _int(parts[2], line)
+                if v in node_map:
+                    raise ValueError(f"second map line for variable {v}: {line!r}")
+                node_map[v] = parts[3]
             continue
         parts = line.split()
         if parts[0] == "p":
@@ -426,12 +526,12 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise ValueError(f"malformed problem line: {line!r}")
             if num_vars is not None:
                 raise ValueError(f"second problem line: {line!r}")
-            num_vars = int(parts[2])
-            num_clauses = int(parts[3])
+            num_vars = _int(parts[2], line)
+            num_clauses = _int(parts[3], line)
             continue
         if num_vars is None:
             raise ValueError(f"clause line before the problem line: {line!r}")
-        literals.extend(map(int, parts))
+        literals += [_int(token, line) for token in parts]
     if num_vars is None or num_clauses is None:
         raise ValueError("missing problem line")
     clauses = _read_clauses(literals)

@@ -14,11 +14,23 @@ from bes.dag import TOP, TermDag
 
 
 def to_dimacs(dag: TermDag, system: System, query: tuple[int, int]) -> str:
-    """DIMACS text of the DAG with a unit clause pinning root ``query[0]`` to ``query[1]``.
+    """DIMACS text of the DAG with a unit clause pinning root ``query[0]`` to ``query[1]``."""
+    num_vars, clauses, node_map = encode(dag, system, query)
+    lines = [f"c map {v} {note}" for v, note in sorted(node_map.items())]
+    lines.append(f"p cnf {num_vars} {len(clauses)}")
+    lines += [" ".join(map(str, clause)) + " 0" for clause in clauses]
+    return "\n".join(lines) + "\n"
+
+
+def encode(
+    dag: TermDag, system: System, query: tuple[int, int]
+) -> tuple[int, list[tuple[int, ...]], dict[int, str]]:
+    """The variable count, the clauses and the node map of ``to_dimacs``'s text.
 
     Variables: each parameter, then each reachable node in id order followed
     by its equation's gates in post-order; a constant's one variable is
-    numbered at its first use and pinned by a unit clause there.
+    numbered at its first use and pinned by a unit clause there.  The node
+    map holds a note per parameter and per node, in numbering order.
     """
     qvar, qbit = query
     names = system.var_names
@@ -65,7 +77,4 @@ def to_dimacs(dag: TermDag, system: System, query: tuple[int, int]) -> str:
 
     root = node_var[dag.roots[qvar]]
     clauses.append((root,) if qbit else (-root,))
-    lines = [f"c map {v} {note}" for v, note in sorted(node_map.items())]
-    lines.append(f"p cnf {num_vars} {len(clauses)}")
-    lines += [" ".join(map(str, clause)) + " 0" for clause in clauses]
-    return "\n".join(lines) + "\n"
+    return num_vars, clauses, node_map

@@ -1,8 +1,8 @@
 """The shapes of the library that the benchmark in ``perfbench/`` reads.
 
-The benchmark's own tests are not collected with these, so a change to one
-of these shapes would otherwise show only when the benchmark runs.  Nothing
-here imports the benchmark; each test pins one shape it relies on.
+The benchmark's smoke tests run the whole benchmark in a child process;
+these pin each shape it relies on directly, so a change to one shows here
+by name.  Nothing here imports the benchmark.
 """
 
 import dataclasses

@@ -228,6 +228,22 @@ class TestBuild:
         assert "over the limit" in err
 
 
+    @pytest.mark.parametrize("limit", ["-1", "x", "1.5", "1e3", ""])
+    def test_max_tree_size_is_a_usage_error_unless_a_count(self, bes_file, capsys, limit):
+        argv = ["build", bes_file, "--form", "pruned", "--emit", "sexpr", "--max-tree-size", limit]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --max-tree-size:" in captured.err and "Traceback" not in captured.err
+
+    def test_max_tree_size_zero_is_a_limit(self, bes_file, capsys):
+        argv = ["build", bes_file, "--form", "pruned", "--emit", "sexpr", "--max-tree-size", "0"]
+        assert main(argv) == 3
+        assert "over the limit of 0" in capsys.readouterr().err
+
+
 class TestStats:
     def test_table(self, bes_file, capsys):
         assert main(["stats", bes_file]) == 0

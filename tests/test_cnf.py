@@ -1,12 +1,17 @@
+import random
+from collections.abc import Mapping
+
 import pytest
 
+from bes import emit
+
 from bes.cli import main
-from bes.core import decode_param_slice, greatest_fixpoint, kleene_lfp
+from bes.core import Const, decode_param_slice, greatest_fixpoint, kleene_lfp
 from bes.dag import TOP, build_expanded, build_pruned, eval_dag, with_top_leaves
 from bes.emit import CnfFormula, parse_dimacs, to_cnf, write_dimacs
 from bes.gen import gen_random_monotone
 from bes.text import format_system, parse_system
-from cnf_oracle import to_dimacs
+from cnf_oracle import encode, to_dimacs
 from dpll import solve
 
 
@@ -164,7 +169,10 @@ class TestCnfOracle:
 
     def check(self, s, dag, var):
         for bit in (0, 1):
-            assert write_dimacs(to_cnf(dag, s, (var, bit))) == to_dimacs(dag, s, (var, bit))
+            cnf = to_cnf(dag, s, (var, bit))
+            assert write_dimacs(cnf) == to_dimacs(dag, s, (var, bit))
+            # the map view reads its notes in numbering order
+            assert list(cnf.node_map.items()) == list(encode(dag, s, (var, bit))[2].items())
 
     def test_emitter_corpus(self):
         # each system's clause templates are shared by its three DAGs and
@@ -278,6 +286,173 @@ class TestClauseView:
         # another variable count, or one clause fewer, is another formula
         assert CnfFormula(cnf.num_vars + 1, tuple(cnf.clauses), cnf.node_map) != cnf
         assert CnfFormula(cnf.num_vars, tuple(cnf.clauses)[:-1], cnf.node_map) != cnf
+
+
+class TestFormulaText:
+    """A formula holds its one DIMACS text; ``node_map`` is a view over its map lines."""
+
+    S = TestClauseView.S
+
+    def formula(self):
+        s = parse_system(self.S)
+        dag = with_top_leaves(build_expanded(s, 2))
+        return to_cnf(dag, s, (0, 1)), encode(dag, s, (0, 1))[2]
+
+    def test_write_dimacs_returns_the_stored_text(self):
+        cnf, _ = self.formula()
+        assert write_dimacs(cnf) is write_dimacs(cnf)
+        rebuilt = CnfFormula(cnf.num_vars, tuple(cnf.clauses), dict(cnf.node_map))
+        assert write_dimacs(rebuilt) is write_dimacs(rebuilt)
+        assert write_dimacs(rebuilt) == write_dimacs(cnf)
+
+    def test_reading_the_map_leaves_the_clauses_unread(self):
+        cnf, expected = self.formula()
+        assert dict(cnf.node_map) == expected and len(cnf.node_map) == len(expected)
+        assert cnf.node_map[1] == "param p" and cnf.node_map.get(10**6) is None
+        assert cnf.clauses._parsed is None
+
+    def test_map_view_is_read_only_and_equals_the_dict(self):
+        cnf, expected = self.formula()
+        view = cnf.node_map
+        assert isinstance(view, Mapping) and type(view) is not dict
+        assert view == expected and expected == view and not view != expected
+        assert list(view) == sorted(expected) and list(view.items()) == list(expected.items())
+        assert repr(view) == repr(expected)
+        assert view != {**expected, 1: "param other"} and view != list(expected.items())
+        assert 1 in view and 10**6 not in view
+        with pytest.raises(KeyError):
+            view[10**6]
+        with pytest.raises(TypeError):
+            view[1] = "param other"
+        with pytest.raises(TypeError):
+            del view[1]
+        with pytest.raises(TypeError):
+            hash(view)
+        assert not hasattr(view, "update") and not hasattr(view, "pop")
+
+    def test_checked_constructor_takes_a_dict_or_a_view(self):
+        cnf, expected = self.formula()
+        for node_map in (cnf.node_map, expected, dict(reversed(expected.items()))):
+            rebuilt = CnfFormula(cnf.num_vars, tuple(cnf.clauses), node_map)
+            assert rebuilt == cnf and write_dimacs(rebuilt) == write_dimacs(cnf)
+            assert list(rebuilt.node_map.items()) == list(expected.items())
+        # the view is checked like a dict: its keys against the new count
+        with pytest.raises(ValueError, match="node map key .* is not an int between 1 and 1"):
+            CnfFormula(1, (), cnf.node_map)
+        for node_map in (list(expected.items()), None):
+            with pytest.raises(ValueError, match="node map .* is not a dict"):
+                CnfFormula(cnf.num_vars, tuple(cnf.clauses), node_map)
+
+    def test_constructor_keeps_no_reference_to_the_dict(self):
+        given = {1: "param p"}
+        cnf = CnfFormula(1, ((1,),), given)
+        given[1] = "param q"
+        assert cnf.node_map == {1: "param p"}
+        assert write_dimacs(cnf) == "c map 1 param p\np cnf 1 1\n1 0\n"
+
+    def test_another_map_is_another_formula(self):
+        cnf, expected = self.formula()
+        clauses = tuple(cnf.clauses)
+        other = CnfFormula(cnf.num_vars, clauses, {**expected, 1: "param other"})
+        assert other != cnf and other.clauses == cnf.clauses
+        assert CnfFormula(cnf.num_vars, clauses, {}) != cnf
+
+
+def deep_style(n, seed):
+    """A system in the style of the benchmark's deep family, with constants.
+
+    d_i = d_{i-1} & ?a | d_j & !?b for seeded a, b and j, so a few dozen
+    shapes cover all n equations; every 7th equation also ORs a constant,
+    so templates are compiled for several sets of numbered constants.
+    """
+    rng = random.Random(seed)
+    lines = []
+    for i in range(n):
+        a, b, j = rng.randrange(4), rng.randrange(4), rng.randrange(n)
+        head = f"?q{a}" if i == 0 else f"d{i - 1} & ?q{a}"
+        extra = f" | {rng.randrange(2)}" if i % 7 == 3 else ""
+        lines.append(f"d{i} = {head} | d{j} & !?q{b}{extra};")
+    return parse_system("\n".join(lines))
+
+
+class TestSharedTemplates:
+    """One clause template per (numbered-constant set, equation shape)."""
+
+    @staticmethod
+    def shape(s, i):
+        gates, out = s._programs[i]
+        return len(s.supports()[i]), tuple(gates), out
+
+    def expected_pairs(self, s, dag):
+        # the constants numbered before each node, as the oracle numbers them
+        known, pairs = frozenset(), set()
+        for tid in dag.reachable():
+            if tid > TOP:
+                func = dag.table[tid][0]
+                pairs.add((known, self.shape(s, func)))
+                known |= {a for op, a, _ in s._programs[func][0] if op is Const}
+        return pairs
+
+    def compiled(self, monkeypatch):
+        calls = []
+        template = emit._template
+
+        def counting(program, num_args, num_params, known):
+            numbered = frozenset(c for c in (0, 1) if known >> c & 1)
+            calls.append((numbered, (num_args, tuple(program[0]), program[1])))
+            return template(program, num_args, num_params, known)
+
+        monkeypatch.setattr(emit, "_template", counting)
+        return calls
+
+    def test_one_call_per_constant_set_and_shape(self, monkeypatch):
+        for n, seed in ((200, 1), (160, 2), (120, 3)):
+            s = deep_style(n, seed)
+            shapes = {self.shape(s, i) for i in range(s.n)}
+            assert len(shapes) < n // 2  # the equations do share shapes
+            dag = build_expanded(s, 4)
+            pairs = self.expected_pairs(s, dag)
+            assert len({known for known, _ in pairs}) >= 2
+            calls = self.compiled(monkeypatch)
+            TestCnfOracle().check(s, dag, 0)
+            assert len(calls) == len(set(calls)) == len(pairs)
+            assert set(calls) == pairs
+            # a second DAG of the same system compiles only the pairs it adds
+            calls.clear()
+            more = with_top_leaves(build_expanded(s, 6))
+            TestCnfOracle().check(s, more, n - 1)
+            assert set(calls) == self.expected_pairs(s, more) - pairs
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # with one parameter both gate lists are [(And, 0, 1)]
+            "x = a & ?p; y = a & b; a = a | ?p; b = b & a;",
+            # the same gate list and output slot: no gate, slot 0
+            "x = ?p; y = x;",
+            "x = ?p; y = x; z = y;",
+        ],
+    )
+    def test_support_length_separates_shapes(self, text, monkeypatch):
+        s = parse_system(text)
+        assert s._programs[0][0] == s._programs[1][0]
+        assert len(s.supports()[0]) != len(s.supports()[1])
+        assert s._shapes[0] != s._shapes[1]
+        calls = self.compiled(monkeypatch)
+        for dag in (build_pruned(s), build_expanded(s), with_top_leaves(build_expanded(s, 2))):
+            for var in range(s.n):
+                TestCnfOracle().check(s, dag, var)
+        assert len(calls) == len(set(calls))
+
+    def test_shapes_group_equal_programs(self):
+        for seed in range(60):
+            s = gen_random_monotone(seed % 8 + 1, seed % 4, 3, seed + 9100)
+            for i in range(s.n):
+                peers = s._shapes[i]
+                assert i in peers and peers == tuple(sorted(peers))
+                assert peers == tuple(j for j in range(s.n) if self.shape(s, j) == self.shape(s, i))
+                assert all(s._shapes[j] is peers for j in peers)
 
 
 class TestGfpQuery:
@@ -401,6 +576,31 @@ class TestDimacs:
                 CnfFormula(2, ((1,),), node_map)
         cnf = CnfFormula(2, ((1,),), {1: "param p", 2: "term 3 x"})
         assert parse_dimacs(write_dimacs(cnf)) == cnf
+
+    def test_second_map_line_for_a_variable_rejected(self):
+        # the last note used to win without a word
+        with pytest.raises(ValueError, match="second map line for variable 1: 'c map 1 b'"):
+            parse_dimacs("c map 1 a\nc map 1 b\np cnf 1 0\n")
+        with pytest.raises(ValueError, match="second map line for variable 2: 'c map 02 b'"):
+            parse_dimacs("c map 2 a\np cnf 2 0\nc map 02 b\n")
+        assert parse_dimacs("c map 2 b\nc map 1 a\np cnf 2 0\n").node_map == {1: "a", 2: "b"}
+
+    @pytest.mark.parametrize(
+        "text, token, line",
+        [
+            ("p cnf 2 1\n1 x 0\n", "x", "1 x 0"),
+            ("p cnf 2 1\n1 -2 0.5\n", "0.5", "1 -2 0.5"),
+            ("p cnf 2 1\n1 --2 0\n", "--2", "1 --2 0"),
+            ("c map x note\np cnf 2 0\n", "x", "c map x note"),
+            ("c map 1.0 note\np cnf 2 0\n", "1.0", "c map 1.0 note"),
+            ("p cnf two 0\n", "two", "p cnf two 0"),
+            ("p cnf 2 1x\n1 0\n", "1x", "p cnf 2 1x"),
+        ],
+    )
+    def test_token_other_than_an_int_rejected_with_its_line(self, text, token, line):
+        with pytest.raises(ValueError) as err:
+            parse_dimacs(text)
+        assert str(err.value) == f"{token!r} is not an int, in line {line!r}"
 
     def test_negative_variable_count_rejected(self):
         with pytest.raises(ValueError, match="variable count -1 is negative"):

@@ -98,6 +98,20 @@ class TestSexpr:
             to_sexpr(dag, s, max_tree_size=3)
         assert to_sexpr(dag, s, max_tree_size=100)
 
+    def test_limit_must_be_a_nonnegative_int(self):
+        s = parse_system("f = f | g; g = f & g;")
+        dag = build_pruned(s)
+        for limit in ("7", None, True, False, 7.0, 1.5, -1):
+            with pytest.raises(ValueError, match="tree size limit .* is not a nonnegative int"):
+                to_sexpr(dag, s, max_tree_size=limit)
+        with pytest.raises(TreeSizeLimitError):
+            to_sexpr(dag, s, max_tree_size=0)
+        # the limit is inclusive
+        size = dag_stats(dag).tree_size
+        with pytest.raises(TreeSizeLimitError):
+            to_sexpr(dag, s, max_tree_size=size - 1)
+        assert to_sexpr(dag, s, max_tree_size=size) == to_sexpr(dag, s)
+
 
 DOT_NODE = re.compile(r'^  n(\d+) \[label="\w+"\];$')
 DOT_EDGE = re.compile(r'^  n(\d+) -> n(\d+) \[label="\w+"\];$')
