@@ -220,10 +220,10 @@ def _arities(text: str) -> list[int]:
     return [int(item) for item in items]
 
 
-def _tree_size(text: str) -> int:
-    """``--max-tree-size``: a nonnegative decimal count of nodes."""
+def _count(text: str) -> int:
+    """``--depth`` and ``--max-tree-size``: a nonnegative decimal count."""
     if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative count of nodes")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative count")
     return int(text)
 
 
@@ -279,11 +279,11 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="compile a closed form and emit it")
     p.add_argument("file")
     p.add_argument("--form", choices=("pruned", "expanded"), required=True)
-    p.add_argument("--depth", type=int, help="unrolling depth for the expanded form")
+    p.add_argument("--depth", type=_count, help="unrolling depth for the expanded form")
     p.add_argument("--emit", choices=("let", "sexpr", "dot", "dimacs"), required=True)
     p.add_argument("--query", help="var=bit assertion for dimacs output")
     p.add_argument("--gfp", action="store_true")
-    p.add_argument("--max-tree-size", type=_tree_size, default=DEFAULT_TREE_SIZE_LIMIT)
+    p.add_argument("--max-tree-size", type=_count, default=DEFAULT_TREE_SIZE_LIMIT)
     p.add_argument("-o", "--out")
     p.set_defaults(fn=_cmd_build)
 

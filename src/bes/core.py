@@ -248,30 +248,14 @@ class System:
         return tuple(_gate_list(f, s, num_params) for f, s in zip(self.formulas, self._supports))
 
     @cached_property
-    def _shapes(self) -> tuple[tuple[int, ...], ...]:
-        """For each equation, the equations of its shape, itself included.
-
-        A shape is the support length plus the gate list and output slot in
-        ``_programs``.  The equations of one shape share the tuple, and
-        ``emit.to_cnf`` compiles one clause template for all of them.
-        """
-        groups: dict[tuple, list[int]] = {}
-        for i, (supp, (gates, out)) in enumerate(zip(self._supports, self._programs)):
-            groups.setdefault((len(supp), out, *gates), []).append(i)
-        shapes: list[tuple[int, ...]] = [()] * self.n
-        for members in groups.values():
-            peers = tuple(members)
-            for i in peers:
-                shapes[i] = peers
-        return tuple(shapes)
-
-    @cached_property
-    def _clause_templates(self) -> dict[int, list]:
+    def _clause_templates(self) -> dict[int, tuple[list, dict]]:
         """``emit.to_cnf``'s clause templates, compiled from ``_programs`` on
-        first use: per set of constants already numbered (a bitmask), one
-        slot per equation.  A template is compiled once per shape (see
-        ``_shapes``) and fills the slots of every equation of that shape, so
-        a node still finds its template by one list index."""
+        first use.  Per set of constants already numbered (a bitmask), a
+        pair: a list with one slot per equation, so a node finds its
+        template by one list index, and a dict from shape to template, read
+        only when a slot is empty.  A shape is the key ``(support length,
+        output slot, *gates)``, so the equations of one shape share one
+        template per constant set, compiled once per system."""
         return {}
 
 
@@ -285,8 +269,8 @@ def _gate_list(f: Formula, support: tuple[int, ...], num_params: int) -> _Progra
     constant.  This is the one compiled form of an equation: ``_run``
     evaluates it, ``text.format_system`` prints it, and ``emit.to_cnf``
     compiles it once more into the clause template that prints the clauses
-    of every node applying an equation of its shape (see ``System._shapes``
-    and ``emit._template``).
+    of every node applying an equation of its shape (see
+    ``System._clause_templates`` and ``emit._template``).
     """
     slot_of_var = {v: k for k, v in enumerate(support)}
     param_base = len(support)

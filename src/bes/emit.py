@@ -10,17 +10,18 @@ a closed form of the least fixpoint, matches the existence of a parameter
 assignment giving the queried fixpoint coordinate the queried bit.  It
 prints each node's ``c map`` line and clauses straight to DIMACS text, the
 clauses from a clause template compiled once per equation shape, and joins
-the formula's whole text once.  ``CnfFormula`` keeps that text, which
-``write_dimacs`` returns, with its ``clauses`` and ``node_map`` read-only
-views over it.
+the formula's whole text once.  ``CnfFormula`` is an immutable value over
+that text, which ``write_dimacs`` returns, with its ``clauses`` and
+``node_map`` read-only views over it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
+import re
+from types import MappingProxyType
 
 from .core import And, Const, System, _Program
 from .dag import BOTTOM, TOP, TermDag, _check_layout, dag_stats
@@ -149,21 +150,18 @@ class _Clauses(Sequence):
     The clause lines, one ``lit lit ... 0`` line per clause as
     ``write_dimacs`` prints them, run from offset ``start`` to the end of
     the text.  ``len`` reads the stored count; iteration, indexing and
-    comparison with a tuple read the lines once, with the clause reader
-    that ``parse_dimacs`` uses, into a tuple of int tuples and keep it.  Two
-    views are equal exactly when their lines are, since one format prints
-    both.
+    comparison with a tuple or another view read the lines once, with the
+    clause reader that ``parse_dimacs`` uses, into a tuple of int tuples and
+    keep it.
     """
 
     __slots__ = ("_text", "_start", "_count", "_parsed")
 
-    def __init__(
-        self, text: str, start: int, count: int, parsed: tuple[tuple[int, ...], ...] | None = None
-    ):
+    def __init__(self, text: str, start: int, count: int):
         self._text = text
         self._start = start
         self._count = count
-        self._parsed = parsed
+        self._parsed: tuple[tuple[int, ...], ...] | None = None
 
     def _tuples(self) -> tuple[tuple[int, ...], ...]:
         if self._parsed is None:
@@ -181,54 +179,13 @@ class _Clauses(Sequence):
 
     def __eq__(self, other) -> bool:
         if type(other) is _Clauses:
-            return self._text[self._start:] == other._text[other._start:]
+            other = other._tuples()
         if type(other) is tuple:
             return self._tuples() == other
         return NotImplemented
 
     def __repr__(self) -> str:
         return repr(self._tuples())
-
-
-class _NodeMap(Mapping):
-    """Read-only view of a formula's node map over its ``c map`` lines.
-
-    The lines open the formula's DIMACS text and run to offset ``end``, one
-    ``c map VAR NOTE`` line per variable in ascending order.  Reading the
-    map parses them once into a dict and keeps it, which leaves the clause
-    lines unread.  Two views are equal exactly when their lines are; a view
-    equals a dict with the same items.
-    """
-
-    __slots__ = ("_text", "_end", "_parsed")
-
-    def __init__(self, text: str, end: int):
-        self._text = text
-        self._end = end
-        self._parsed: dict[int, str] | None = None
-
-    def _dict(self) -> dict[int, str]:
-        if self._parsed is None:
-            lines = self._text[: self._end].splitlines()
-            self._parsed = {int(v): note for _, _, v, note in (line.split(" ", 3) for line in lines)}
-        return self._parsed
-
-    def __getitem__(self, v: int) -> str:
-        return self._dict()[v]
-
-    def __iter__(self):
-        return iter(self._dict())
-
-    def __len__(self) -> int:
-        return len(self._dict())
-
-    def __eq__(self, other) -> bool:
-        if type(other) is _NodeMap:
-            return self._text[: self._end] == other._text[: other._end]
-        return super().__eq__(other)
-
-    def __repr__(self) -> str:
-        return repr(self._dict())
 
 
 def _read_clauses(literals: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -246,15 +203,18 @@ def _read_clauses(literals: list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(clauses)
 
 
-@dataclass(frozen=True)
 class CnfFormula:
     """Clauses in DIMACS convention plus a variable-to-meaning map.
 
-    A formula holds its whole DIMACS text, the one ``write_dimacs`` returns:
-    its ``c map`` lines in ascending variable order, the ``p cnf`` header
-    and its clause lines.  ``clauses`` (``_Clauses``) and ``node_map``
-    (``_NodeMap``) are read-only views over that text.  The clause count
-    costs nothing, and each view parses its own lines on first read.
+    A formula is an immutable value over its whole DIMACS text, the one
+    ``write_dimacs`` returns: its ``c map`` lines in ascending variable
+    order, the ``p cnf`` header and its clause lines.  One printer makes
+    that text canonical, so two formulas are equal exactly when their texts
+    are.  A formula is unhashable, like the views it hands out: ``clauses``
+    is a ``_Clauses`` view over the clause lines, whose count costs nothing,
+    and ``node_map`` is a read-only ``MappingProxyType`` over a dict parsed
+    from the ``c map`` lines on first read, which leaves the clause lines
+    unread.
 
     The constructor takes the clauses as a tuple of tuples and the node map
     as a dict or another formula's ``node_map``.  It refuses a variable
@@ -268,17 +228,16 @@ class CnfFormula:
     with ``_trusted``, which skips these walks.
     """
 
-    num_vars: int
-    clauses: Sequence[tuple[int, ...]]
-    node_map: Mapping[int, str] = field(default_factory=dict)
+    __slots__ = ("num_vars", "clauses", "_text", "_map_end", "_node_map")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        num_vars = self.num_vars
+    def __new__(
+        cls, num_vars: int, clauses: tuple, node_map: Mapping[int, str] = MappingProxyType({})
+    ) -> CnfFormula:
         if type(num_vars) is not int:
             raise ValueError(f"variable count {num_vars!r} is not an int")
         if num_vars < 0:
             raise ValueError(f"variable count {num_vars} is negative")
-        clauses = self.clauses
         if type(clauses) is not tuple:
             raise ValueError(f"clauses {clauses!r} are not a tuple")
         for clause in clauses:
@@ -291,10 +250,7 @@ class CnfFormula:
                     raise ValueError(
                         f"literal {lit!r} is not a nonzero int between -{num_vars} and {num_vars}"
                     )
-        node_map = self.node_map
-        if type(node_map) is _NodeMap:
-            node_map = node_map._dict()
-        elif type(node_map) is not dict:
+        if type(node_map) is not dict and type(node_map) is not MappingProxyType:
             raise ValueError(f"node map {node_map!r} is not a dict")
         for v, note in node_map.items():
             if type(v) is not int or not 1 <= v <= num_vars:
@@ -305,41 +261,55 @@ class CnfFormula:
                 )
         map_lines = [f"c map {v} {note}\n" for v, note in sorted(node_map.items())]
         fmt = "".join(["%d " * len(clause) + "0\n" for clause in clauses])
-        self._store(map_lines, [fmt % tuple(chain.from_iterable(clauses))], len(clauses), clauses)
+        clause_lines = [fmt % tuple(chain.from_iterable(clauses))]
+        return cls._trusted(num_vars, map_lines, clause_lines, len(clauses))
 
     @classmethod
     def _trusted(
         cls, num_vars: int, map_lines: list[str], clause_lines: list[str], count: int
-    ) -> "CnfFormula":
-        """The formula without the constructor's checks, for input that
-        meets them by construction (see ``_store``)."""
-        cnf = object.__new__(cls)
-        object.__setattr__(cnf, "num_vars", num_vars)
-        cnf._store(map_lines, clause_lines, count)
-        return cnf
-
-    def _store(
-        self,
-        map_lines: list[str],
-        clause_lines: list[str],
-        count: int,
-        clauses: tuple[tuple[int, ...], ...] | None = None,
-    ) -> None:
-        """Join the formula's text and set its views over it.
-
-        ``map_lines`` are the ``c map`` lines in ascending variable order and
-        ``clause_lines`` the texts of ``count`` clause lines, each ending in
-        a newline; ``clauses``, if given, are their tuples.  Extends
-        ``map_lines`` in place.
-        """
+    ) -> CnfFormula:
+        """The formula over its ``c map`` lines, in ascending variable order,
+        and the texts of its ``count`` clause lines, each ending in a newline,
+        without the constructor's checks, for input that meets them by
+        construction.  Joins one list: ``map_lines``, extended in place."""
         map_end = sum(map(len, map_lines))
-        header = f"p cnf {self.num_vars} {count}\n"
+        header = f"p cnf {num_vars} {count}\n"
         map_lines.append(header)
         map_lines += clause_lines
         text = "".join(map_lines)
-        object.__setattr__(self, "_text", text)
-        object.__setattr__(self, "clauses", _Clauses(text, map_end + len(header), count, clauses))
-        object.__setattr__(self, "node_map", _NodeMap(text, map_end))
+        cnf = object.__new__(cls)
+        init = object.__setattr__
+        init(cnf, "num_vars", num_vars)
+        init(cnf, "clauses", _Clauses(text, map_end + len(header), count))
+        init(cnf, "_text", text)
+        init(cnf, "_map_end", map_end)
+        init(cnf, "_node_map", None)
+        return cnf
+
+    @property
+    def node_map(self) -> Mapping[int, str]:
+        if self._node_map is None:
+            lines = self._text[: self._map_end].splitlines()
+            notes = {int(v): note for _, _, v, note in (line.split(" ", 3) for line in lines)}
+            object.__setattr__(self, "_node_map", MappingProxyType(notes))
+        return self._node_map
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: a CnfFormula is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle read the text back
+        return parse_dimacs, (self._text,)
+
+    def __eq__(self, other) -> bool:
+        return self._text == other._text if type(other) is CnfFormula else NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"CnfFormula(num_vars={self.num_vars!r}, clauses={self.clauses!r}, "
+            f"node_map={dict(self.node_map)!r})"
+        )
 
 
 # A clause template prints the clauses of one node that applies an equation.
@@ -416,14 +386,16 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
     Variables are numbered in node order: each reachable node takes the
     next variable, then one per And/Or gate of its equation's gate list in
     post-order.  A constant's one shared variable is numbered at its first
-    use, between those gates.  Each equation shape (``System._shapes``) is
-    compiled once per system into a clause template (see ``_template``) for
-    each set of constants that already have a variable, so the node that
-    first uses a constant applies a variant that numbers it.  A node then
-    costs one row of decimal texts, one ``itemgetter`` and one %-format,
-    which print its clauses as DIMACS text, and one f-string for its
-    ``c map`` line.  The map lines, the header and the clause lines are
-    joined once, into the text the result holds.
+    use, between those gates.  Each equation shape (support length, output
+    slot and gate list) is compiled once per system into a clause template
+    (see ``_template``) for each set of constants that already have a
+    variable, so the node that first uses a constant applies a variant that
+    numbers it.  ``System._clause_templates`` keeps them: a node finds its
+    template by its equation's slot, and only an empty slot looks its shape
+    up.  A node then costs one row of decimal texts, one ``itemgetter`` and
+    one %-format, which print its clauses as DIMACS text, and one f-string
+    for its ``c map`` line.  The map lines, the header and the clause lines
+    are joined once, into the text the result holds.
     """
     qvar, qbit = query
     if not (type(qvar) is int and 0 <= qvar < system.n):
@@ -435,14 +407,13 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
     names = system.var_names
     table = dag.table
     programs = system._programs
-    shapes = system._shapes
     num_params = len(system.param_names)
     by_known = system._clause_templates
     maps = [f"c map {k} param {name}\n" for k, name in enumerate(system.param_names, 1)]
     # the row's parameter variables, then those of the constants 0 and 1
     fixed = [*map(_decimal, range(1, num_params + 1)), "", ""]
     known = 0
-    templates = by_known.setdefault(known, [None] * system.n)
+    templates, by_shape = by_known.setdefault(known, ([None] * system.n, {}))
     parts: list[str] = []
     count = 1  # the query's unit clause
     node_text = [""] * len(dag)
@@ -458,9 +429,12 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
         func, ids = table[tid]
         template = templates[func]
         if template is None:
-            template = _template(programs[func], len(ids), num_params, known)
-            for peer in shapes[func]:
-                templates[peer] = template
+            program = gates, out = programs[func]
+            shape = (len(ids), out, *gates)
+            template = by_shape.get(shape)
+            if template is None:
+                template = by_shape[shape] = _template(program, len(ids), num_params, known)
+            templates[func] = template
         getter, fmt, num_clauses, m, numbered = template
         row = [*map(node_text.__getitem__, ids), *fixed]
         row += map(_decimal, range(num_vars, num_vars + m + 1))
@@ -473,7 +447,7 @@ def to_cnf(dag: TermDag, system: System, query: tuple[int, int]) -> CnfFormula:
             for c, index in numbered:
                 fixed[num_params + c] = row[index]
                 known |= 1 << c
-            templates = by_known.setdefault(known, [None] * system.n)
+            templates, by_shape = by_known.setdefault(known, ([None] * system.n, {}))
 
     root = node_text[dag.roots[qvar]]
     parts.append((root if qbit else "-" + root) + " 0\n")
@@ -489,20 +463,22 @@ def write_dimacs(cnf: CnfFormula) -> str:
     return cnf._text
 
 
+_INT_TOKEN = re.compile(r"-?[0-9]+")  # narrower than int(): no sign +, no _, ASCII digits
+
+
 def _int(token: str, line: str) -> int:
     """One token of a DIMACS line as an int, or a ValueError that names the line."""
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"{token!r} is not an int, in line {line!r}") from None
+    if not _INT_TOKEN.fullmatch(token):
+        raise ValueError(f"{token!r} is not an int, in line {line!r}")
+    return int(token)
 
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Inverse of write_dimacs; unknown comment lines are ignored.
 
-    Refuses, with ValueError, a token that is not an int in a clause line, a
-    problem line or as a map key, and a second ``c map`` line for one
-    variable.
+    Refuses, with ValueError, a token that is not an int (an optional ``-``
+    and ASCII digits) in a clause line, a problem line or as a map key, and
+    a second ``c map`` line for one variable.
     """
     node_map: dict[int, str] = {}
     num_vars = None

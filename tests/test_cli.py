@@ -169,6 +169,16 @@ class TestBuild:
         assert main(["build", bes_file, "--form", "expanded", "--depth", "0", "--emit", "let"]) == 0
         assert capsys.readouterr().out == "(bot, bot, bot)\n"
 
+    @pytest.mark.parametrize("depth", ["-1", "x", "1.5", ""])
+    def test_depth_is_a_usage_error_unless_a_count(self, bes_file, capsys, depth):
+        argv = ["build", bes_file, "--form", "expanded", "--depth", depth, "--emit", "let"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --depth:" in captured.err and "Traceback" not in captured.err
+
     def test_depth_rejected_for_pruned(self, bes_file):
         assert main(["build", bes_file, "--form", "pruned", "--depth", "2", "--emit", "let"]) == 3
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections.abc import Mapping
 
@@ -317,7 +319,7 @@ class TestFormulaText:
         assert isinstance(view, Mapping) and type(view) is not dict
         assert view == expected and expected == view and not view != expected
         assert list(view) == sorted(expected) and list(view.items()) == list(expected.items())
-        assert repr(view) == repr(expected)
+        assert repr(view) == f"mappingproxy({expected!r})"
         assert view != {**expected, 1: "param other"} and view != list(expected.items())
         assert 1 in view and 10**6 not in view
         with pytest.raises(KeyError):
@@ -356,6 +358,76 @@ class TestFormulaText:
         other = CnfFormula(cnf.num_vars, clauses, {**expected, 1: "param other"})
         assert other != cnf and other.clauses == cnf.clauses
         assert CnfFormula(cnf.num_vars, clauses, {}) != cnf
+
+
+class TestFormulaValue:
+    """A formula is an immutable, unhashable value, equal exactly when its texts are."""
+
+    def formula(self):
+        return TestClauseView().formula()
+
+    def test_attributes_cannot_be_set_or_deleted(self):
+        cnf = self.formula()
+        for name in ("num_vars", "clauses", "node_map"):
+            value = getattr(cnf, name)
+            with pytest.raises(AttributeError):
+                setattr(cnf, name, value)
+            with pytest.raises(AttributeError):
+                delattr(cnf, name)
+            assert getattr(cnf, name) is value
+        with pytest.raises(AttributeError):
+            cnf.other = 1
+
+    def test_copies_and_pickles_are_equal(self):
+        cnf = self.formula()
+        for copied in (copy.copy(cnf), copy.deepcopy(cnf), pickle.loads(pickle.dumps(cnf))):
+            assert copied == cnf and write_dimacs(copied) == write_dimacs(cnf)
+
+    def test_unhashable(self):
+        for cnf in (self.formula(), CnfFormula(0, ()), CnfFormula(1, ((1,),), {1: "x"})):
+            with pytest.raises(TypeError):
+                hash(cnf)
+
+    def test_repr(self):
+        cnf = CnfFormula(2, ((1, -2), (2,)), {2: "term 2 x", 1: "param p"})
+        assert repr(cnf) == (
+            "CnfFormula(num_vars=2, clauses=((1, -2), (2,)), "
+            "node_map={1: 'param p', 2: 'term 2 x'})"
+        )
+        assert repr(CnfFormula(0, ())) == "CnfFormula(num_vars=0, clauses=(), node_map={})"
+        cnf = self.formula()
+        assert repr(cnf) == (
+            f"CnfFormula(num_vars={cnf.num_vars}, clauses={tuple(cnf.clauses)!r}, "
+            f"node_map={dict(cnf.node_map)!r})"
+        )
+
+    def test_equal_exactly_when_the_texts_are(self):
+        from test_emit import corpus
+
+        formulas = []
+        for k, (s, dags) in enumerate(corpus()):
+            for dag in dags:
+                formulas.append(to_cnf(dag, s, (k % s.n, k % 2)))
+        for seed in range(100):
+            s = gen_random_monotone(seed % 6 + 1, seed % 4, 4, seed + 5100)
+            dag = build_pruned(s) if seed % 2 else build_expanded(s)
+            formulas.append(to_cnf(dag, s, (seed % s.n, seed // 2 % 2)))
+        texts = [write_dimacs(cnf) for cnf in formulas]
+        assert len(set(texts)) < len(texts)  # some formulas of distinct DAGs coincide
+        for a, text in zip(formulas, texts):
+            # copies from the parser and the checked constructor
+            for b in (parse_dimacs(text), CnfFormula(a.num_vars, tuple(a.clauses), a.node_map)):
+                assert a == b and b == a and not a != b
+        for i, (a, text_a) in enumerate(zip(formulas, texts)):
+            for b, text_b in zip(formulas[i:], texts[i:]):
+                assert (a == b) == (text_a == text_b) == (b == a) != (a != b)
+
+    def test_not_equal_to_its_text_or_a_tuple(self):
+        cnf = self.formula()
+        text = write_dimacs(cnf)
+        as_tuple = (cnf.num_vars, tuple(cnf.clauses), dict(cnf.node_map))
+        for other in (text, as_tuple, tuple(cnf.clauses), ()):
+            assert cnf != other and other != cnf and not cnf == other
 
 
 def deep_style(n, seed):
@@ -438,21 +510,31 @@ class TestSharedTemplates:
         s = parse_system(text)
         assert s._programs[0][0] == s._programs[1][0]
         assert len(s.supports()[0]) != len(s.supports()[1])
-        assert s._shapes[0] != s._shapes[1]
         calls = self.compiled(monkeypatch)
         for dag in (build_pruned(s), build_expanded(s), with_top_leaves(build_expanded(s, 2))):
             for var in range(s.n):
                 TestCnfOracle().check(s, dag, var)
         assert len(calls) == len(set(calls))
+        templates, _ = s._clause_templates[0]
+        assert templates[0] is not None and templates[1] is not None
+        assert templates[0] is not templates[1]
 
     def test_shapes_group_equal_programs(self):
+        # in each constant set's list, two filled slots hold one template
+        # object exactly when their equations have one shape
         for seed in range(60):
             s = gen_random_monotone(seed % 8 + 1, seed % 4, 3, seed + 9100)
-            for i in range(s.n):
-                peers = s._shapes[i]
-                assert i in peers and peers == tuple(sorted(peers))
-                assert peers == tuple(j for j in range(s.n) if self.shape(s, j) == self.shape(s, i))
-                assert all(s._shapes[j] is peers for j in peers)
+            to_cnf(build_expanded(s), s, (0, 1))
+            filled = set()
+            for templates, by_shape in s._clause_templates.values():
+                slots = [i for i in range(s.n) if templates[i] is not None]
+                filled.update(slots)
+                for i in slots:
+                    for j in slots:
+                        same = self.shape(s, i) == self.shape(s, j)
+                        assert (templates[i] is templates[j]) == same, (seed, i, j)
+                assert len(by_shape) == len({self.shape(s, i) for i in slots})
+            assert filled == set(range(s.n))  # every equation applies at the top
 
 
 class TestGfpQuery:
@@ -595,6 +677,13 @@ class TestDimacs:
             ("c map 1.0 note\np cnf 2 0\n", "1.0", "c map 1.0 note"),
             ("p cnf two 0\n", "two", "p cnf two 0"),
             ("p cnf 2 1x\n1 0\n", "1x", "p cnf 2 1x"),
+            # int() takes these, DIMACS does not: an underscore, a plus sign
+            # and a digit outside ASCII
+            ("c map 1_0 a\np cnf 10 0\n", "1_0", "c map 1_0 a"),
+            ("p cnf 1 1\n+1 0\n", "+1", "+1 0"),
+            ("p cnf 1_0 1\n\u0661 0\n", "1_0", "p cnf 1_0 1"),
+            ("p cnf 10 1\n\u0661 0\n", "\u0661", "\u0661 0"),
+            ("p cnf 10 1\n1 -\uff12 0\n", "-\uff12", "1 -\uff12 0"),
         ],
     )
     def test_token_other_than_an_int_rejected_with_its_line(self, text, token, line):

@@ -718,3 +718,26 @@ class TestPublicNames:
                 and obj.__module__ == module.__name__
             }
             assert defined == expected, name
+
+    def test_no_unused_imports(self):
+        # no linter runs here: every name a top-level import binds in a
+        # module of the package is read somewhere in that module
+        import ast
+        import pathlib
+
+        import bes
+
+        modules = sorted(pathlib.Path(bes.__file__).parent.glob("*.py"))
+        assert len(modules) == 8
+        for path in modules:
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            bound = set()
+            for node in tree.body:
+                if isinstance(node, ast.Import):
+                    bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound.update(alias.asname or alias.name for alias in node.names)
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            assert bound - used == set(), path.name
