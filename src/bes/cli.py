@@ -13,17 +13,9 @@ import sys
 import time
 
 from . import props
-from .core import ParamAssignment, System, greatest_fixpoint, kleene_lfp
+from .core import _INT_RE, ParamAssignment, System, greatest_fixpoint, kleene_lfp
 from .dag import TermDag, build_expanded, build_pruned, dag_stats, with_top_leaves
-from .emit import (
-    DEFAULT_TREE_SIZE_LIMIT,
-    TreeSizeLimitError,
-    to_cnf,
-    to_dot,
-    to_let_text,
-    to_sexpr,
-    write_dimacs,
-)
+from .emit import DEFAULT_TREE_SIZE_LIMIT, to_cnf, to_dot, to_let_text, to_sexpr, write_dimacs
 from .gen import FAMILIES, FamilySpec, gen_family
 from .text import BesParseError, format_system, parse_system
 
@@ -47,20 +39,27 @@ def _write_out(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _read_pair(item: str, names: tuple[str, ...], option: str, noun: str, form: str):
+    """One ``name=bit`` pair, with no comma, of ``--params`` or ``--query``, blanks
+    allowed around the name and the bit: the name, one of ``names``, and the bit."""
+    name, eq, bit = (part.strip() for part in item.partition("="))
+    if not (name and eq) or "," in item:
+        raise ValueError(f"{option} must be {form}, got {item!r}")
+    if name not in names:
+        raise ValueError(f"unknown {noun} {name!r} in {option}")
+    if bit not in ("0", "1"):
+        raise ValueError(f"{option} needs a 0/1 value")
+    return name, int(bit)
+
+
 def _parse_params(system: System, assignment: str | None) -> ParamAssignment:
     given: dict[str, int] = {}
     if assignment:
         for item in assignment.split(","):
-            name, _, bit = item.partition("=")
-            name = name.strip()
-            bit = bit.strip()
-            if name not in system.param_names:
-                raise ValueError(f"unknown parameter {name!r}")
-            if bit not in ("0", "1"):
-                raise ValueError(f"parameter {name!r} needs a 0/1 value")
+            name, bit = _read_pair(item, system.param_names, "--params", "parameter", "name=bit")
             if name in given:
                 raise ValueError(f"parameter {name!r} is assigned twice")
-            given[name] = int(bit)
+            given[name] = bit
     missing = [name for name in system.param_names if name not in given]
     if missing:
         raise ValueError(
@@ -105,33 +104,32 @@ def _cmd_build(args) -> int:
     else:
         if args.query is None:
             raise ValueError("--emit dimacs requires --query var=bit")
-        name, eq, bit = args.query.partition("=")
-        if not (name and eq):
-            raise ValueError(f"--query must be var=bit, got {args.query!r}")
-        if name not in system.var_names:
-            raise ValueError(f"unknown variable {name!r} in --query")
-        if bit not in ("0", "1"):
-            raise ValueError("--query needs a 0/1 value")
-        cnf = to_cnf(dag, system, (system.var_names.index(name), int(bit)))
+        name, bit = _read_pair(args.query, system.var_names, "--query", "variable", "var=bit")
+        cnf = to_cnf(dag, system, (system.var_names.index(name), bit))
         out = write_dimacs(cnf)
     _write_out(out, args.out)
     return EXIT_OK
 
 
+def _measure(system: System) -> list[tuple]:
+    """Builds the pruned form, then the expanded one; for each, its apply
+    count, edge count, depth, tree size and build seconds (6 decimals)."""
+    rows = []
+    for build in (build_pruned, build_expanded):
+        t0 = time.perf_counter()
+        dag = build(system)
+        seconds = time.perf_counter() - t0
+        s = dag_stats(dag)
+        rows.append((s.apply_count, s.edge_count, s.dag_depth, s.tree_size, f"{seconds:.6f}"))
+    return rows
+
+
 def _cmd_stats(args) -> int:
-    system = _read_system(args.file)
-    rows = [
-        ("pruned",) + _stat_tuple(build_pruned(system)),
-        ("expanded",) + _stat_tuple(build_expanded(system)),
-    ]
+    forms = zip(("pruned", "expanded"), _measure(_read_system(args.file)))
+    rows = [(form,) + row[:4] for form, row in forms]
     header = ("form", "apply_count", "edge_count", "dag_depth", "tree_size")
     _write_out(_render_table(header, rows, args.csv), args.out)
     return EXIT_OK
-
-
-def _stat_tuple(dag: TermDag) -> tuple[int, int, int, int]:
-    s = dag_stats(dag)
-    return (s.apply_count, s.edge_count, s.dag_depth, s.tree_size)
 
 
 def _render_table(header, rows, csv: bool) -> str:
@@ -212,38 +210,42 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _arities(text: str) -> list[int]:
-    """``--n-list``: comma-separated decimal arities, read whole before any build."""
-    items = text.split(",")
-    if not all(item.strip().isdecimal() for item in items):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of arities")
-    return [int(item) for item in items]
+def _integer(text: str) -> int:
+    """``--trials``, ``--seed``, ``--max-n`` and ``--n``: an int as ``parse_dimacs``
+    reads one, an optional ``-`` and ASCII digits; each command checks its range."""
+    if not _INT_RE.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _count(text: str) -> int:
-    """``--depth`` and ``--max-tree-size``: a nonnegative decimal count."""
-    if not text.strip().isdecimal():
+    """``--depth``, ``--max-tree-size`` and each ``--n-list`` item: an int with no sign."""
+    if "-" in text or not _INT_RE.fullmatch(text.strip()):
         raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative count")
     return int(text)
+
+
+def _arities(text: str) -> list[int]:
+    """``--n-list``: comma-separated counts, read whole before any build."""
+    return [_count(item) for item in text.split(",")]
+
+
+def _density(text: str) -> float:
+    """``--density``: a float in ASCII text without ``_``; ``FamilySpec`` checks its range."""
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
 
 
 def _cmd_bench(args) -> int:
     specs = [FamilySpec(args.family, n, args.seed, args.density) for n in args.n_list]
     rows = []
     for spec in specs:
-        system = gen_family(spec)
-        t0 = time.perf_counter()
-        pruned = build_pruned(system)
-        t1 = time.perf_counter()
-        expanded = build_expanded(system)
-        t2 = time.perf_counter()
-        rows.append(
-            (args.family, spec.n)
-            + _stat_tuple(pruned)
-            + (f"{t1 - t0:.6f}",)
-            + _stat_tuple(expanded)
-            + (f"{t2 - t1:.6f}",)
-        )
+        pruned, expanded = _measure(gen_family(spec))
+        rows.append((args.family, spec.n) + pruned + expanded)
     header = (
         "family",
         "n",
@@ -296,24 +298,24 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("file", nargs="?")
     p.add_argument("--random", action="store_true", help="random systems instead of a file")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--trials", type=_integer, default=1000)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--max-n", type=_integer, default=6)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("gen", help="write a benchmark family instance")
     p.add_argument("family", choices=FAMILIES)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("--n", type=_integer)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--density", type=_density, default=0.5)
     p.add_argument("-o", "--out")
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("bench", help="size and build-time sweep over a family")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--n-list", type=_arities, required=True, help="comma-separated arities")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--density", type=_density, default=0.5)
     p.add_argument("--csv", action="store_true")
     p.add_argument("-o", "--out")
     p.set_defaults(fn=_cmd_bench)
@@ -328,7 +330,7 @@ def main(argv=None) -> int:
     except BesParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SYNTAX if err.kind == "syntax" else EXIT_SEMANTIC
-    except (TreeSizeLimitError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SEMANTIC
     except OSError as err:

@@ -10,8 +10,8 @@ the all-ones tuple.
 
 Bits are plain ints.  Evaluation works bitwise, so callers may pack many
 boolean scenarios into one int (pass the all-ones mask as ``ones``); the
-default ``ones=1`` gives ordinary 0/1 semantics.  Everything here is
-immutable and side-effect free.
+default ``ones=1`` gives ordinary 0/1 semantics.  A ``System`` keeps
+write-once analysis caches and a clause-template memo; neither changes a result.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ _Program = tuple[list[tuple[type, int, int]], int]  # gates and output slot (see
 IndexSet = frozenset[int]          # set of variable indices
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a name; the text tokenizer uses it too
+_INT_RE = re.compile(r"-?[0-9]+")  # an int, narrower than int(): no +, no _, ASCII digits only
 
 
 @dataclass(frozen=True)

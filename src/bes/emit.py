@@ -20,10 +20,9 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from itertools import chain
 from operator import itemgetter
-import re
 from types import MappingProxyType
 
-from .core import And, Const, System, _Program
+from .core import _INT_RE, And, Const, System, _Program
 from .dag import BOTTOM, TOP, TermDag, _check_layout, dag_stats
 
 DEFAULT_TREE_SIZE_LIMIT = 1_000_000
@@ -31,8 +30,8 @@ DEFAULT_TREE_SIZE_LIMIT = 1_000_000
 _decimal = int.__repr__  # an int's decimal text; faster than str()
 
 
-class TreeSizeLimitError(Exception):
-    """Unshared rendering refused because it would exceed the size limit."""
+class TreeSizeLimitError(ValueError):
+    """Unshared rendering refused over the size limit; a ValueError, as every input refusal is."""
 
     def __init__(self, tree_size: int, limit: int):
         super().__init__(
@@ -463,12 +462,9 @@ def write_dimacs(cnf: CnfFormula) -> str:
     return cnf._text
 
 
-_INT_TOKEN = re.compile(r"-?[0-9]+")  # narrower than int(): no sign +, no _, ASCII digits
-
-
 def _int(token: str, line: str) -> int:
     """One token of a DIMACS line as an int, or a ValueError that names the line."""
-    if not _INT_TOKEN.fullmatch(token):
+    if not _INT_RE.fullmatch(token):
         raise ValueError(f"{token!r} is not an int, in line {line!r}")
     return int(token)
 

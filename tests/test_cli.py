@@ -1,8 +1,11 @@
+import ast
+from pathlib import Path
 import subprocess
 import sys
 
 import pytest
 
+import bes
 from bes.cli import _make_parser, main
 from bes.emit import DEFAULT_TREE_SIZE_LIMIT
 from bes.text import parse_system
@@ -206,6 +209,22 @@ class TestBuild:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_dimacs_query_is_one_pair(self, tmp_path, capsys):
+        path = tmp_path / "xy.bes"
+        path.write_text("x = y; y = x;\n")
+        argv = ["build", str(path), "--form", "pruned", "--emit", "dimacs", "--query", "x=1,y=0"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --query must be var=bit, got 'x=1,y=0'\n"
+
+    def test_dimacs_query_allows_blanks(self, bes_file, capsys):
+        argv = ["build", bes_file, "--form", "pruned", "--emit", "dimacs"]
+        assert main(argv + ["--query", "a=1"]) == 0
+        expected = capsys.readouterr().out
+        assert main(argv + ["--query", " a = 1 "]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_gfp_leaves_print_top(self, tmp_path, capsys):
         path = tmp_path / "g.bes"
@@ -412,6 +431,89 @@ class TestBench:
     def test_arity_a_family_refuses_fails_before_any_build(self, capsys, no_build):
         assert main(["bench", "--family", "chain", "--n-list", "4,3"]) == 3
         assert capsys.readouterr().err == "error: chain needs an even arity of at least 2\n"
+
+
+class TestNumberRule:
+    """Every number option takes ASCII digits only, as ``parse_dimacs`` does:
+    anything else is a usage error that names the option."""
+
+    INT_OPTIONS = [
+        ("--depth", "build {file} --form expanded --emit let --depth {v}"),
+        ("--max-tree-size", "build {file} --form pruned --emit let --max-tree-size {v}"),
+        ("--n-list", "bench --family chain --n-list 2,{v}"),
+        ("--trials", "verify --random --trials {v}"),
+        ("--seed", "verify --random --trials 1 --max-n 1 --seed {v}"),
+        ("--seed", "gen chain --n 2 --seed {v}"),
+        ("--seed", "bench --family chain --n-list 2 --seed {v}"),
+        ("--max-n", "verify --random --trials 1 --max-n {v}"),
+        ("--n", "gen random --n {v}"),
+    ]
+    DENSITY_OPTIONS = [
+        ("--density", "gen random --n 2 --density {v}"),
+        ("--density", "bench --family random --n-list 2 --density {v}"),
+    ]
+
+    @staticmethod
+    def _assert_usage_error(argv, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}:" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("value", ["\u0661", "\uff11", "1_0", "+1"])
+    @pytest.mark.parametrize("option, template", INT_OPTIONS, ids=[o for o, _ in INT_OPTIONS])
+    def test_int_options_refuse_other_digits_underscores_and_plus(
+        self, bes_file, capsys, option, template, value
+    ):
+        argv = [word.format(file=bes_file, v=value) for word in template.split()]
+        self._assert_usage_error(argv, option, capsys)
+
+    @pytest.mark.parametrize("value", ["\u0660.\u0665", "0_5"])
+    @pytest.mark.parametrize("option, template", DENSITY_OPTIONS, ids=["gen", "bench"])
+    def test_density_refuses_other_digits_and_underscores(self, capsys, option, template, value):
+        argv = [word.format(v=value) for word in template.split()]
+        self._assert_usage_error(argv, option, capsys)
+
+    def test_ascii_values_keep_working(self, bes_file, capsys):
+        argv = ["build", bes_file, "--form", "expanded", "--depth", " 0 ", "--emit", "let"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "(bot, bot, bot)\n"
+        assert main(["gen", "random", "--n", "3", "--seed", "-7", "--density", "0.25"]) == 0
+        assert parse_system(capsys.readouterr().out).var_names == ("x1", "x2", "x3")
+
+
+class TestInputRules:
+    """The CLI reads numbers through its own types, built on the pattern
+    ``parse_dimacs`` uses.  ``int``, ``float`` and the ``str`` digit tests all
+    take digits other than ASCII ones, and the first two take ``_`` and ``+``."""
+
+    SRC = Path(bes.__file__).parent
+
+    def test_cli_passes_no_builtin_number_type(self):
+        tree = ast.parse((self.SRC / "cli.py").read_text())
+        found = [
+            (node.lineno, kw.value.id)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+            for kw in node.keywords
+            if kw.arg == "type" and isinstance(kw.value, ast.Name)
+            and kw.value.id in ("int", "float")
+        ]
+        assert found == []
+
+    def test_no_module_tests_digits_with_str_methods(self):
+        found = [
+            (path.name, node.lineno, node.attr)
+            for path in sorted(self.SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("isdecimal", "isdigit", "isnumeric")
+        ]
+        assert found == []
 
 
 class TestCounterexampleDump:

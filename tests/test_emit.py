@@ -91,6 +91,10 @@ class TestSexpr:
         assert err.value.tree_size > 10**6
         assert str(err.value.tree_size) in str(err.value)
 
+    def test_refusal_is_a_value_error(self):
+        # the CLI maps every refusal of an input to exit 3 through one except clause
+        assert issubclass(TreeSizeLimitError, ValueError)
+
     def test_limit_is_adjustable(self):
         s = parse_system("f = f | g; g = f & g;")
         dag = build_pruned(s)
