@@ -48,7 +48,7 @@ def _read_pair(item: str, names: tuple[str, ...], option: str, noun: str, form: 
     if name not in names:
         raise ValueError(f"unknown {noun} {name!r} in {option}")
     if bit not in ("0", "1"):
-        raise ValueError(f"{option} needs a 0/1 value")
+        raise ValueError(f"{noun} {name!r} in {option} needs a 0/1 value")
     return name, int(bit)
 
 

@@ -176,50 +176,46 @@ class System:
         Returns ``(components, component_of)``: each component's members,
         ascending, with the components in reverse topological order (every
         edge that leaves a component enters an earlier one), and each
-        variable's index into ``components``.  One iterative pass of
-        Tarjan's algorithm (SIAM J. Comput. 1972), so a long chain cannot
-        reach the recursion limit.
+        variable's index into ``components``.  Kosaraju's two searches
+        (Sharir, 1981), neither recursive: a depth-first search along
+        ``_readers`` records finish order, then a plain search along
+        ``_supports``, latest finisher first, collects each component.
         """
-        supports = self._supports
+        readers = self._readers
         n = self.n
-        number = [0] * n  # depth-first number from 1; 0 while unvisited
-        low = [0] * n
-        component_of = [-1] * n  # -1 until a component is closed
-        components: list[tuple[int, ...]] = []
-        path: list[int] = []
-        count = 0
+        seen = [False] * n
+        finished: list[int] = []
         for start in range(n):
-            if number[start]:
+            if seen[start]:
                 continue
-            count += 1
-            number[start] = low[start] = count
-            path.append(start)
-            work = [(start, iter(supports[start]))]
+            seen[start] = True
+            work = [(start, iter(readers[start]))]
             while work:
                 v, edges = work[-1]
                 for w in edges:
-                    if not number[w]:
-                        count += 1
-                        number[w] = low[w] = count
-                        path.append(w)
-                        work.append((w, iter(supports[w])))
+                    if not seen[w]:
+                        seen[w] = True
+                        work.append((w, iter(readers[w])))
                         break
-                    if component_of[w] < 0 and number[w] < low[v]:
-                        low[v] = number[w]  # w is on the path, below v
                 else:
                     work.pop()
-                    if low[v] == number[v]:
-                        at = len(path) - 1
-                        while path[at] != v:
-                            at -= 1
-                        members = path[at:]
-                        del path[at:]
-                        for w in members:
-                            component_of[w] = len(components)
-                        members.sort()
-                        components.append(tuple(members))
-                    elif low[v] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[v]
+                    finished.append(v)
+        supports = self._supports
+        component_of = [-1] * n  # -1 until placed
+        components: list[tuple[int, ...]] = []
+        for start in reversed(finished):
+            if component_of[start] >= 0:
+                continue
+            c = len(components)
+            component_of[start] = c
+            members = [start]
+            for v in members:  # visits the members appended as it goes
+                for w in supports[v]:
+                    if component_of[w] < 0:
+                        component_of[w] = c
+                        members.append(w)
+            members.sort()
+            components.append(tuple(members))
         return tuple(components), tuple(component_of)
 
     @cached_property
@@ -482,17 +478,15 @@ def param_masks(num_params: int) -> tuple[ParamAssignment, int]:
     Returns (masks, ones) where bit j of masks[k] is the value of parameter
     k in assignment j, and ones is the all-ones mask of width 2**P.  Feeding
     these to the evaluation functions computes all assignments in one pass.
+    Mask k repeats a 2**(k+1)-bit period with its upper half set: that
+    period times the repunit with a 1 at the start of each period.
     """
-    width = 1 << num_params
-    ones = (1 << width) - 1
-    masks = []
-    for k in range(num_params):
-        m = 0
-        for j in range(width):
-            if (j >> k) & 1:
-                m |= 1 << j
-        masks.append(m)
-    return tuple(masks), ones
+    ones = (1 << (1 << num_params)) - 1
+    masks = tuple(
+        ones // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k))
+        for k in range(num_params)
+    )
+    return masks, ones
 
 
 def decode_param_slice(num_params: int, j: int) -> ParamAssignment:

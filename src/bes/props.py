@@ -17,7 +17,8 @@ comes from ``node_values``.
 The two suites that compare masked iterates set by set,
 ``masking_preserves_iterates`` and ``masked_le_pruned``, run every given set
 at once in the lanes of one int.  Block k holds the k-th set in list order,
-one lane per parameter assignment, and x_i <- f_i(x) is masked to the blocks
+one lane per parameter assignment, each parameter mask repeated in every
+block by one multiplication, and x_i <- f_i(x) is masked to the blocks
 whose set lacks i, so one packed iteration gives every masked iterate of
 every set.  ``masking_preserves_iterates`` runs it once more per equation i
 with i pinned in every block: block k of that run is the S_k + {i}-masked
@@ -251,8 +252,8 @@ def _lanes(system: System, pbits: Sequence[int], ones: int, sets: list[IndexSet]
     """Lay the given checked masked sets out in lanes and iterate them all at once."""
     width = ones.bit_length()
     without = [_blocks([0 if i in s else ones for s in sets], width) for i in range(system.n)]
-    repeated = tuple(_blocks([bits] * len(sets), width) for bits in pbits)
     every = (1 << len(sets) * width) - 1
+    repeated = tuple(bits * (every // ones) for bits in pbits)
     table = _iterates(system, without, system.n + 1, repeated, every)
     return _Lanes(width, every, repeated, without, table)
 
@@ -355,9 +356,10 @@ def _self_substituted(system: System, pbits: Sequence[int], ones: int) -> Valuat
     """The least fixpoint in lane block 0 and, in block i + 1, the least
     fixpoint with x_i read as 0 inside f_i, from one settle loop."""
     n, width = system.n, ones.bit_length()
-    repeated = tuple(_blocks([bits] * (n + 1), width) for bits in pbits)
+    every = (1 << (n + 1) * width) - 1
+    repeated = tuple(bits * (every // ones) for bits in pbits)
     own = [ones << (i + 1) * width for i in range(n)]
-    fixpoint, _ = _settle(system, [0] * n, repeated, (1 << (n + 1) * width) - 1, own)
+    fixpoint, _ = _settle(system, [0] * n, repeated, every, own)
     return fixpoint
 
 
@@ -368,9 +370,10 @@ def _self_substitution(run):
     differing block is reported at its first differing coordinate.
     """
     system, ones = run.system, run.ones
-    n, width = system.n, ones.bit_length()
+    width = ones.bit_length()
+    repunit = ((1 << (system.n + 1) * width) - 1) // ones
     fixpoint = _self_substituted(system, run.pbits, ones)
-    found = _first_failure([[v ^ _blocks([v & ones] * (n + 1), width)] for v in fixpoint], width)
+    found = _first_failure([[v ^ (v & ones) * repunit] for v in fixpoint], width)
     if found is not None:
         k, j, _, bad = found
         yield bad, (

@@ -44,6 +44,15 @@ class TestSolve:
         path.write_text("x = ?p;\n")
         assert main(["solve", str(path), "--params", "p=1,zz=0"]) == 3
 
+    @pytest.mark.parametrize("pairs", ["p=1,q=2", "q=,p=0", "p=1,q=01"])
+    def test_param_bit_refusal_names_the_parameter(self, tmp_path, capsys, pairs):
+        path = tmp_path / "p.bes"
+        path.write_text("x = ?p & ?q;\n")
+        assert main(["solve", str(path), "--params", pairs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: parameter 'q' in --params needs a 0/1 value\n"
+
     def test_param_assigned_twice_rejected(self, tmp_path, capsys):
         path = tmp_path / "p.bes"
         path.write_text("x = ?p & ?q;\n")
@@ -196,9 +205,9 @@ class TestBuild:
         "query, message",
         [
             ("zz=1", "unknown variable 'zz' in --query"),
-            ("a=2", "--query needs a 0/1 value"),
-            ("a=", "--query needs a 0/1 value"),
-            ("a=01", "--query needs a 0/1 value"),
+            ("a=2", "variable 'a' in --query needs a 0/1 value"),
+            ("a=", "variable 'a' in --query needs a 0/1 value"),
+            ("a=01", "variable 'a' in --query needs a 0/1 value"),
             ("a", "--query must be var=bit, got 'a'"),
             ("=1", "--query must be var=bit, got '=1'"),
         ],

@@ -300,6 +300,18 @@ class TestParameterLength:
                 call()
 
 
+class TestParamMasks:
+    def test_masks_are_their_definition(self):
+        # bit j of mask k is bit k of assignment j
+        for num_params in range(11):
+            masks, ones = param_masks(num_params)
+            width = 1 << num_params
+            assert ones == (1 << width) - 1
+            assert masks == tuple(
+                sum(1 << j for j in range(width) if j >> k & 1) for k in range(num_params)
+            )
+
+
 class NotFormula:
     """Stand-in node that is not part of the grammar."""
 

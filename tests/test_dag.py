@@ -391,6 +391,26 @@ class TestComponents:
         for s in shapes:
             check_components(s)
 
+    def test_every_support_graph_up_to_three_variables(self):
+        # _sccs reads only the supports, so every support graph on up to three
+        # variables covers every system of the exhaustive n <= 3 corpus in
+        # test_acceptance, components that no path joins included
+        from itertools import product
+
+        from bes.core import Const, Or, System, Var
+
+        for n in range(1, 4):
+            names = tuple(f"x{i}" for i in range(n))
+            subsets = [[Var(i) for i in range(n) if m >> i & 1] for m in range(1 << n)]
+            for pattern in product(subsets, repeat=n):
+                formulas = []
+                for members in pattern:
+                    f = members[0] if members else Const(0)
+                    for v in members[1:]:
+                        f = Or(f, v)
+                    formulas.append(f)
+                check_components(System(tuple(formulas), names))
+
     def test_self_loops_and_singletons_without_one(self):
         # x reads itself, y reads nothing, z reads only y: three singletons
         s = parse_system("x = x | z; y = 1; z = y;")

@@ -403,6 +403,18 @@ class TestLanes:
                 assert block(props._pinned_run(system, lanes, i), k) == pinned
                 assert lanes.without[i] >> k * width & ones == (0 if i in masked else ones)
 
+    @pytest.mark.parametrize("count", [1, 64, 65, 200])
+    def test_repeated_parameter_lanes(self, count):
+        # the parameter masks repeated in every block, on both sides of the
+        # 64-value split in _blocks; explicit bits fill no lane or every lane
+        system = parse_system("a = ?p | b & c; b = a & ?q; c = b | c & !?p;")
+        sets = [frozenset({count % 3})] * count
+        for pbits, ones in (param_masks(2), ((1, 0), 1), ((0, 1), 1)):
+            lanes = props._lanes(system, pbits, ones, sets)
+            assert lanes.pbits == tuple(props._blocks([b] * count, lanes.width) for b in pbits)
+            if ones == 1:
+                assert lanes.pbits == tuple(lanes.every if b else 0 for b in pbits)
+
     def test_no_masked_sets(self):
         # an empty list lays out no lanes and every suite passes on it
         system = parse_system("x = ?p & y; y = x | ?q;")
