@@ -175,41 +175,45 @@ class TermDag:
 class PrunedBuilder:
     """Shared construction of pruned subterms for any (masked set, equation) pair.
 
-    A masked set is an int bitmask, bit i standing for equation i.  The memo
-    key keeps ``masked & _key_sets[i]``: the masked set restricted to the
-    equation's cone (``System._cones``), or with ``canonical_keys=False`` all
-    of it, which builds the same terms with less sharing.  The equation's own
-    index is in its cone but never in a key: ``term`` returns bottom first.
+    A masked set is an int bitmask, bit i standing for equation i.  Each
+    equation has a memo of its own, ``_memo[i]``, keyed by the int
+    ``masked & _key_sets[i]``: the masked set restricted to the equation's
+    cone (``System._cones``), or with ``canonical_keys=False`` all of it,
+    which builds the same terms with less sharing.  The equation's own index
+    is in its cone but never in a key: ``term`` returns bottom first.
+    ``_children[i]`` holds, per support variable j of equation i, what the
+    child loop reads: j's bit, memo and key set, and j itself.
     """
 
     def __init__(self, system: System, canonical_keys: bool = True):
         self.dag = TermDag(system._supports)
-        self._memo: dict[tuple[int, int], int] = {}
-        self._key_sets = system._cones if canonical_keys else (-1,) * system.n
+        memo = self._memo = [{} for _ in range(system.n)]
+        key_sets = self._key_sets = system._cones if canonical_keys else (-1,) * system.n
+        self._children = [
+            tuple([(1 << j, memo[j], key_sets[j], j) for j in support])
+            for support in system._supports
+        ]
 
     def term(self, masked: int, i: int) -> int:
         """Id of the subterm for equation i under the masked set ``masked``.
 
-        A child that is masked (bottom) or already in the memo is resolved
+        A child that is masked (bottom) or already in its memo is resolved
         in the child loop, so the recursion enters ``term`` only on a memo
         miss.  A memoized id is an application's, 2 or more, so never false.
         """
         bit = 1 << i
         if masked & bit:
             return BOTTOM
-        key_sets = self._key_sets
-        memo = self._memo
-        key = (i, masked & key_sets[i])
+        memo = self._memo[i]
+        key = masked & self._key_sets[i]
         tid = memo.get(key)
         if tid is None:
             inner = masked | bit
             ids = tuple([
-                BOTTOM if inner >> j & 1
-                else memo.get((j, inner & key_sets[j])) or self.term(inner, j)
-                for j in self.dag.supports[i]
+                BOTTOM if inner & j_bit else j_memo.get(inner & j_keys) or self.term(inner, j)
+                for j_bit, j_memo, j_keys, j in self._children[i]
             ])
-            tid = self.dag._intern(i, ids)
-            memo[key] = tid
+            tid = memo[key] = self.dag._intern(i, ids)
         return tid
 
 
@@ -278,16 +282,25 @@ def _check_layout(dag: TermDag, system: System) -> None:
 def node_values(
     dag: TermDag, system: System, p: ParamAssignment = (), ones: int = 1
 ) -> list[int]:
-    """Value of every node in table order, computed bottom-up in one pass."""
+    """Value of every node in table order, computed bottom-up in one pass.
+
+    The parameters are fixed within a call, so a node's value depends only on
+    its equation and its arguments' values.  Each distinct such application
+    runs its gate list once; every other node with the same key reuses that
+    value.
+    """
     _check_layout(dag, system)
     _check_params(system, p, ones)
     programs = system._programs
     pslots = [lit for bits in p for lit in (bits, bits ^ ones)]
     values = [0, ones]
+    known: list[dict[tuple[int, ...], int]] = [{} for _ in programs]
     for func, ids in islice(dag.table, 2, None):
-        slots = [values[a] for a in ids]
-        slots += pslots
-        values.append(_run(programs[func], slots, ones))
+        args = tuple([values[a] for a in ids])
+        value = known[func].get(args)
+        if value is None:
+            value = known[func][args] = _run(programs[func], [*args, *pslots], ones)
+        values.append(value)
     return values
 
 

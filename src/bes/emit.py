@@ -124,21 +124,29 @@ def to_sexpr(
 
 
 def to_dot(dag: TermDag, system: System) -> str:
-    """DOT digraph: one node per reachable id, edges labeled by argument variable."""
+    """DOT digraph: one node per reachable id, edges labeled by argument variable.
+
+    Each reachable node's ``n<id>`` text and each variable's label tail are
+    made once, so an edge line only joins three strings.
+    """
     _check_layout(dag, system)
     names = system.var_names
     table = dag.table
     supports = dag.supports
     lines = ["digraph bes {"]
     reach = dag.reachable()
+    ref = [""] * len(table)
     for tid in reach:
+        ref[tid] = r = f"n{tid}"
         label = table[tid] if tid <= TOP else names[table[tid][0]]
-        lines.append(f'  n{tid} [label="{label}"];')
+        lines.append(f'  {r} [label="{label}"];')
+    tail = [f' [label="{name}"];' for name in names]
     for tid in reach:
         if tid > TOP:
             func, ids = table[tid]
+            head = f"  {ref[tid]} -> "
             for v, arg in zip(supports[func], ids):
-                lines.append(f'  n{tid} -> n{arg} [label="{names[v]}"];')
+                lines.append(head + ref[arg] + tail[v])
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,4 +1,5 @@
 import ast
+import os
 from pathlib import Path
 import subprocess
 import sys
@@ -546,20 +547,25 @@ class TestCounterexampleDump:
 
 
 class TestEntryPoint:
-    def test_console_script_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "bes.cli", "--help"], capture_output=True, text=True
+    @staticmethod
+    def run_module(*args: str) -> subprocess.CompletedProcess:
+        """``python -m bes.cli`` in a child that imports the ``bes`` this test
+        imported: a child does not inherit pytest's import path."""
+        env = dict(os.environ)
+        home = str(Path(bes.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (home, env.get("PYTHONPATH"))))
+        return subprocess.run(
+            [sys.executable, "-m", "bes.cli", *args], capture_output=True, text=True, env=env
         )
+
+    def test_console_script_help(self):
+        proc = self.run_module("--help")
         assert proc.returncode == 0
         assert "solve" in proc.stdout
 
     def test_module_solve(self, tmp_path):
         path = tmp_path / "s.bes"
         path.write_text("x = 1;\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "bes.cli", "solve", str(path)],
-            capture_output=True,
-            text=True,
-        )
+        proc = self.run_module("solve", str(path))
         assert proc.returncode == 0
         assert proc.stdout.startswith("(1)")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bes.core import decode_param_slice, kleene_lfp
+from bes.core import decode_param_slice, kleene_lfp, param_masks
 from bes.dag import (
     Apply,
     BOTTOM,
@@ -13,6 +13,7 @@ from bes.dag import (
     build_pruned_reference,
     dag_stats,
     eval_dag,
+    node_values,
     with_top_leaves,
 )
 from bes.gen import FamilySpec, gen_family, gen_random_monotone
@@ -20,6 +21,7 @@ from bes.props import SUITES
 from bes.text import parse_system
 from formula_oracle import eval_formula
 from pruned_oracle import PrunedOracle, dfs_cones
+from test_emit import corpus
 
 
 def systems(max_n=5, max_params=2, max_depth=4):
@@ -223,9 +225,11 @@ def oracle_shapes():
 
 
 def same_build(builder, oracle):
-    """Equal tables, and equal memos with their entries in the same order."""
+    """Equal tables, and each equation's memo equal to that equation's
+    entries of the oracle's memo, in the same order."""
     assert builder.dag.table == oracle.dag.table
-    assert list(builder._memo.items()) == list(oracle._memo.items())
+    for i, memo in enumerate(builder._memo):
+        assert list(memo.items()) == [(k, t) for (j, k), t in oracle._memo.items() if j == i]
 
 
 class TestBuilderOracle:
@@ -272,12 +276,13 @@ class TestBuilderOracle:
                 builder = PrunedBuilder(s, canonical_keys=canonical)
                 for mask in (0, 1, (1 << s.n) - 2):
                     for i in range(s.n):
-                        key = (i, mask & builder._key_sets[i])
-                        miss = not mask >> i & 1 and key not in builder._memo
-                        before, entered[:] = len(builder._memo), []
+                        key = mask & builder._key_sets[i]
+                        miss = not mask >> i & 1 and key not in builder._memo[i]
+                        before, entered[:] = sum(map(len, builder._memo)), []
                         builder.term(mask, i)
-                        # the outside call, then one call per node the memo gained
-                        assert len(entered) == (len(builder._memo) - before) + (not miss)
+                        # the outside call, then one call per node the memos gained
+                        gained = sum(map(len, builder._memo)) - before
+                        assert len(entered) == gained + (not miss)
 
     def test_complete_system_calls_equal_its_nodes(self, monkeypatch):
         # every root of complete-n is a miss, so build_pruned enters term
@@ -465,7 +470,7 @@ class TestCones:
         for canonical in (True, False):
             builder = PrunedBuilder(s, canonical_keys=canonical)
             roots = [builder.term(0, i) for i in range(s.n)]
-            memo_sizes.append(len(builder._memo))
+            memo_sizes.append(sum(map(len, builder._memo)))
             assert len(builder.dag) == 12 and len(set(roots)) == 4
         assert memo_sizes == [10, 13]
 
@@ -581,6 +586,75 @@ class TestTopLeaves:
                 packed = eval_dag(with_top_leaves(build(s)), s, masks, ones)
                 for j, gfp in enumerate(gfps):
                     assert tuple((v >> j) & 1 for v in packed) == gfp, (seed, build, j)
+
+
+def oracle_values(dag, system, p=(), ones=1):
+    """Every node's value, each by ``eval_formula`` at its arguments' values."""
+    values = [0, ones]
+    for tid in range(2, len(dag)):
+        node = dag.node(tid)
+        x = [0] * system.n
+        for v, arg in node.args:
+            x[v] = values[arg]
+        values.append(eval_formula(system.formulas[node.func], tuple(x), p, ones))
+    return values
+
+
+class TestDistinctApplications:
+    """``node_values`` runs each distinct (equation, argument values) once."""
+
+    @staticmethod
+    def dags(s):
+        pruned, expanded = build_pruned(s), build_expanded(s)
+        return pruned, expanded, with_top_leaves(pruned), with_top_leaves(expanded)
+
+    @staticmethod
+    def assignments(s):
+        """The packed masks of every assignment, then each assignment alone."""
+        P = s.num_params
+        yield param_masks(P)
+        for j in range(1 << P):
+            yield decode_param_slice(P, j), 1
+
+    def test_every_node_is_its_formula_at_its_arguments(self):
+        cases = list(corpus())
+        for seed in range(300):
+            s = gen_random_monotone(seed % 6 + 1, seed % 4, 4, seed + 9000)
+            cases.append((s, self.dags(s)))
+        for s, dags in cases:
+            for dag in dags:
+                for p, ones in self.assignments(s):
+                    assert node_values(dag, s, p, ones) == oracle_values(dag, s, p, ones), (s, p)
+
+    SHAPES = {
+        "complete-8": lambda: gen_family(FamilySpec("complete", 8)),
+        "dense-11": lambda: gen_family(FamilySpec("random", 11, 3, 0.6)),
+        "random-8-packed": lambda: gen_random_monotone(8, 3, 4, 189),
+    }
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_gate_lists_run_once_per_distinct_application(self, monkeypatch, name):
+        import bes.dag
+
+        s = self.SHAPES[name]()
+        p, ones = param_masks(s.num_params)
+        dag = build_pruned(s)
+        expected = oracle_values(dag, s, p, ones)
+        distinct = {(func, tuple(expected[a] for a in ids)) for func, ids in dag.table[2:]}
+        equation_of = {id(program): i for i, program in enumerate(s._programs)}
+        calls = []
+        real = bes.dag._run
+
+        def counting(program, slots, ones):
+            i = equation_of[id(program)]
+            calls.append((i, tuple(slots[: len(s._supports[i])])))
+            return real(program, slots, ones)
+
+        monkeypatch.setattr(bes.dag, "_run", counting)
+        assert node_values(dag, s, p, ones) == expected
+        assert len(calls) == len(distinct) and set(calls) == distinct
+        # most applications repeat one already seen
+        assert len(distinct) < (len(dag) - 2) / 2, name
 
 
 class TestRootUnrolling:

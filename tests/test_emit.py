@@ -158,6 +158,56 @@ class TestDot:
         assert to_dot(dag, s) == to_dot(dag, s)
 
 
+def dot_per_edge(dag, s):
+    """DOT printed one f-string per node and per edge, read through ``TermDag.node``."""
+    names = s.var_names
+    reach = dag.reachable()
+    lines = ["digraph bes {"]
+    for tid in reach:
+        node = dag.node(tid)
+        label = node if tid <= TOP else names[node.func]
+        lines.append(f'  n{tid} [label="{label}"];')
+    for tid in reach:
+        if tid > TOP:
+            for v, arg in dag.node(tid).args:
+                lines.append(f'  n{tid} -> n{arg} [label="{names[v]}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+class TestDotPerEdge:
+    """``to_dot`` against the printer that formats every edge line whole."""
+
+    def test_corpus(self):
+        for s, dags in corpus():
+            for dag in dags:
+                assert to_dot(dag, s) == dot_per_edge(dag, s)
+
+    def test_empty_support_and_a_repeated_argument(self):
+        s = parse_system("x = ?p; y = x & z; z = x | ?p;")
+        dag = TermDag(s.supports())  # x reads nothing; y and z read x
+        x = dag.apply(0, ())
+        y = dag.apply(1, (x, x))
+        z = dag.apply(2, (x,))
+        dag.freeze((x, y, z))
+        assert to_dot(dag, s) == dot_per_edge(dag, s)
+        assert to_dot(dag, s).count(f"  n{y} -> n{x} ") == 2
+        for build in (build_pruned, build_expanded):
+            assert to_dot(build(s), s) == dot_per_edge(build(s), s)
+
+    def test_top_leaves(self):
+        s = parse_system(GENERIC3)
+        for build in (build_pruned, build_expanded):
+            dag = with_top_leaves(build(s))
+            assert to_dot(dag, s) == dot_per_edge(dag, s)
+            assert '  n1 [label="top"];' in to_dot(dag, s)
+
+    def test_unreachable_nodes(self):
+        s = parse_system(TestUnreachableNodes.SYSTEM)
+        dag = TestUnreachableNodes().dag()
+        assert to_dot(dag, s) == dot_per_edge(dag, s)
+
+
 class TestEmitterDeterminism:
     def test_identical_input_identical_output(self):
         s = gen_random_monotone(6, 2, 4, 11)
