@@ -349,22 +349,20 @@ def _changing_rounds(
     changed x, and stop at the first round that changes nothing.
 
     Equation i sets x_i to f_i(x) & live[i]: a bit of ``live[i]`` that is 0
-    pins x_i to 0 there, and an equation with no live bit is never
-    evaluated.  Where ``own[i]`` has a bit, f_i reads its own variable x_i
-    as 0 there, as if x_i were replaced by 0 inside f_i; by default it reads
-    x_i as it is.  Round 1 evaluates every other equation; each later round
-    re-evaluates only the readers of the variables the previous round
-    changed.  That is exact: f_i reads only its support, so if no variable in
-    it changed, neither does x_i.  Every round evaluates against the previous
-    iterate, so the rounds are the parallel applications x^{k+1} = f(x^k)
-    themselves.
+    pins x_i to 0 there.  Where ``own[i]`` has a bit, f_i reads its own
+    variable x_i as 0 there, as if x_i were replaced by 0 inside f_i; by
+    default it reads x_i as it is.  Round 1 evaluates every equation; each
+    later round re-evaluates only the readers of the variables the previous
+    round changed.  That is exact: f_i reads only its support, so if no
+    variable in it changed, neither does x_i.  Every round evaluates against
+    the previous iterate, so the rounds are the parallel applications
+    x^{k+1} = f(x^k) themselves.
     """
     supports = system._supports
     programs = system._programs
     readers = system._readers
     pslots = [lit for bits in p for lit in (bits, bits ^ ones)]
-    pinned = {i for i, lanes in enumerate(live) if not lanes}
-    dirty = set(range(system.n)).difference(pinned)
+    dirty = range(system.n)
     while True:
         changed = []
         for i in dirty:
@@ -383,7 +381,6 @@ def _changing_rounds(
         for j, value in changed:
             x[j] = value
             dirty.update(readers[j])
-        dirty.difference_update(pinned)
         yield
 
 

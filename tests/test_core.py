@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from bes.core import (
     Param,
     System,
     Var,
+    _iterates,
     _run,
     _settle,
     decode_param_slice,
@@ -394,6 +396,27 @@ class TestChangeDrivenIteration:
                     for m in range(s.n + 2):
                         assert masked_iterates(s, masked, m, p, ones) == expected[: m + 1]
 
+    def test_lane_masks_match_definitional_loop(self):
+        # each equation gets its own live mask: 0 in every lane, all-ones or
+        # mixed; lane j is then the iteration masked by the equations whose
+        # live bit j is 0, at the parameters' bit j
+        rng = random.Random(29)
+        kinds = Counter()
+        for seed in range(400):
+            s = gen_random_monotone(seed % 7 + 1, seed % 3, 3, seed)
+            width = rng.randint(1, 9)
+            ones = (1 << width) - 1
+            live = [rng.choice((0, ones, rng.randint(0, ones))) for _ in range(s.n)]
+            p = tuple(rng.randint(0, ones) for _ in range(s.num_params))
+            kinds.update("none" if not m else "all" if m == ones else "mixed" for m in live)
+            got = _iterates(s, live, s.n + 1, p, ones)
+            for j in range(width):
+                masked = frozenset(i for i in range(s.n) if not live[i] >> j & 1)
+                lane = tuple(bits >> j & 1 for bits in p)
+                expected = definitional_iterates(s, masked, s.n + 1, lane, 1)
+                assert [tuple(v >> j & 1 for v in x) for x in got] == expected, (seed, j)
+        assert min(kinds["none"], kinds["all"], kinds["mixed"]) > 100, kinds
+
     def test_gfp_matches_descending_loop(self):
         for seed in range(1000):
             s = gen_random_monotone(seed % 8 + 1, seed % 4, 3, seed)
@@ -753,3 +776,45 @@ class TestPublicNames:
                     bound.update(alias.asname or alias.name for alias in node.names)
             used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             assert bound - used == set(), path.name
+
+    def test_every_private_name_is_used_in_the_package(self):
+        # a private function, class, constant or class member that a module
+        # of the package defines is read again in the package, outside its
+        # own definition, so no helper is kept for tests alone
+        import ast
+        import pathlib
+
+        import bes
+
+        def reads(node):
+            return Counter(
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+            )
+
+        def definitions(body):
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    yield node.name, node
+                    if isinstance(node, ast.ClassDef):
+                        yield from definitions(node.body)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for target in targets:
+                        for n in ast.walk(target):
+                            if isinstance(n, ast.Name):
+                                yield n.id, node
+
+        modules = sorted(pathlib.Path(bes.__file__).parent.glob("*.py"))
+        trees = [ast.parse(path.read_text()) for path in modules]
+        total = sum(map(reads, trees), Counter())
+        private = [
+            (name, node)
+            for tree in trees
+            for name, node in definitions(tree.body)
+            if name.startswith("_") and not name.endswith("__")
+        ]
+        assert len(private) >= 75  # the walk reaches the helpers
+        unused = [name for name, node in private if total[name] == reads(node)[name]]
+        assert unused == []
